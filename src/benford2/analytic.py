@@ -350,14 +350,21 @@ def _check_series(
     samples: int,
     rng: random.Random,
 ) -> None:
+    # Term R depends only on the first R bits, so a vector's partial sum is
+    # its parent prefix's sum plus one term; walk the prefix tree depth-first.
     mismatches = 0
     checked = 0
-    for depth in range(1, length + 1):
-        for packed in range(1 << depth):
-            tb = unpack_bits(packed, depth)
-            if series_partial_sum(tb, depth) != 1 / (2 - truncate(tb, depth)):
+    stack: list[tuple[Bits, Fraction]] = [((), Fraction(1, 2))]
+    while stack:
+        prefix, partial = stack.pop()
+        for bit in (0, 1):
+            tb = prefix + (bit,)
+            total = partial + term_value_by_endpoints(tb, len(tb))
+            if total != 1 / (2 - truncate(tb, len(tb))):
                 mismatches += 1
             checked += 1
+            if len(tb) < length:
+                stack.append((tb, total))
     reports.append(
         VerificationReport(
             identity="telescoping-exact",
@@ -369,16 +376,16 @@ def _check_series(
 
     # tail bound toward the full limit 1/(2-t): |partial(R) - limit| <= 2^(1-R)
     worst_ratio = 0.0
-    tail_depth = max(length, 1)
-    for tb in _bit_grid(tail_depth, samples, rng):
-        limit = 1 / (2 - truncate(tb, tail_depth))
-        for r in range(1, tail_depth + 1):
-            gap = abs(series_partial_sum(tb, r) - limit)
-            worst_ratio = max(worst_ratio, float(gap) / 2.0 ** (1 - r))
+    for tb in _bit_grid(length, samples, rng):
+        limit = 1 / (2 - truncate(tb, length))
+        partial = Fraction(1, 2)
+        for r in range(1, length + 1):
+            partial += term_value_by_endpoints(tb, r)
+            worst_ratio = max(worst_ratio, float(abs(partial - limit)) / 2.0 ** (1 - r))
     reports.append(
         VerificationReport(
             identity="series-tail-bound",
-            params=f"len={tail_depth} all partial orders (error scaled by 2^(1-R))",
+            params=f"len={length} all partial orders (error scaled by 2^(1-R))",
             error=worst_ratio,
             bound=1.0,
         )
@@ -454,7 +461,8 @@ def run_suite(
     ``which`` is a suite name from ``SUITES``, the string "all", or an
     iterable of suite names (empty iterable runs nothing).  All bounds are
     derived from the budget arguments, so shrunken budgets stay rigorous.
-    Failures are reported, never raised.
+    Check failures are reported, never raised; an out-of-range budget
+    raises ``ValueError``.
     """
     if isinstance(which, str):
         selected = list(SUITES) if which == "all" else [which]
@@ -464,6 +472,13 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES + ('all',)}")
 
+    if series_length < 1 or oracle_depth < 1 or samples < 0:
+        raise ValueError(
+            "series_length and oracle_depth must be >= 1 and samples >= 0, "
+            f"got {series_length}, {oracle_depth}, {samples}"
+        )
+    if not riemann_depths or not harmonic_levels or not oracle_paddings:
+        raise ValueError("riemann_depths, harmonic_levels and oracle_paddings must not be empty")
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
     for name in selected:

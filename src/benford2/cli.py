@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from benford2 import analytic, empirical, transition
-from benford2.dyadic import MAX_DENSE_DEPTH, MAX_VECTOR_DEPTH, block_string
+from benford2.dyadic import block_string
 from benford2.solver import (
     ConvergenceError,
     benford_reference,
@@ -98,14 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cap = MAX_DENSE_DEPTH if args.backend == "dense" else MAX_VECTOR_DEPTH
-    if not 1 <= args.k <= cap:
-        parser.error(f"--k must be in [1, {cap}] for the {args.backend} backend")
-    if args.tolerance <= 0:
-        parser.error("--tolerance must be positive")
-    if args.max_iterations < 1:
-        parser.error("--max-iterations must be >= 1")
+def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve(args.k, tolerance=args.tolerance, max_iterations=args.max_iterations, backend=args.backend)
     reference = benford_reference("10", 2)
     rel_err = abs(report.p10 - reference) / reference
@@ -138,12 +130,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cap = MAX_DENSE_DEPTH if args.backend == "dense" else MAX_VECTOR_DEPTH
-    if not 1 <= args.kmax <= cap:
-        parser.error(f"--kmax must be in [1, {cap}] for the {args.backend} backend")
-    if args.tolerance <= 0:
-        parser.error("--tolerance must be positive")
+def _cmd_table1(args: argparse.Namespace) -> int:
     rows = convergence_table(args.kmax, tolerance=args.tolerance, backend=args.backend)
     if args.format == "json":
         payload = [
@@ -159,9 +146,9 @@ def _cmd_table1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_matrix(args: argparse.Namespace) -> int:
     if not 1 <= args.k <= MAX_DUMP_DEPTH:
-        parser.error(f"--k must be in [1, {MAX_DUMP_DEPTH}] for a dump (4^k rows)")
+        raise ValueError(f"--k must be in [1, {MAX_DUMP_DEPTH}] for a dump (4^k rows)")
     matrix = transition.build_dense(args.k)
     n = matrix.size
     if args.format == "json":
@@ -190,11 +177,7 @@ def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.series_length < 1 or args.oracle_depth < 1 or args.samples < 0:
-        parser.error("--series-length and --oracle-depth must be >= 1, --samples >= 0")
-    if not args.riemann_depths or not args.harmonic_levels or not args.oracle_paddings:
-        parser.error("budget lists must not be empty")
+def _cmd_verify(args: argparse.Namespace) -> int:
     reports = analytic.run_suite(
         args.suite,
         riemann_depths=args.riemann_depths,
@@ -210,21 +193,13 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0 if all(report.passed for report in reports) else 1
 
 
-def _cmd_empirical(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.bits < 0:
-        parser.error("--bits must be >= 0")
-    if not 2 <= args.base <= 36:
-        parser.error("--base must be in [2, 36]")
-    if args.family == "rearranged":
-        if args.n < 4:
-            parser.error("--n must be >= 4 for the rearranged demonstration")
-        natural, rearranged = empirical.rearrangement_demo(args.n)
+def _cmd_empirical(args: argparse.Namespace) -> int:
+    spec = empirical.SequenceSpec(family=args.family, count=args.n, block_bits=args.bits, base=args.base)
+    if spec.family == "rearranged":
+        natural, rearranged = empirical.rearrangement_demo(spec.count)
         text = f"sequence,multiple_of_four_freq\nnatural,{natural!r}\nrearranged,{rearranged!r}\n"
         _emit(text, args.out)
         return 0
-    if args.n < 1:
-        parser.error("--n must be >= 1")
-    spec = empirical.SequenceSpec(family=args.family, count=args.n, block_bits=args.bits, base=args.base)
     report = empirical.frequency_report(empirical.generate_blocks(spec), args.bits, args.base)
     lines = ["block,observed_count,observed_freq,expected_freq,abs_dev"]
     lines += [
@@ -240,10 +215,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # DepthError included: every out-of-range input
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

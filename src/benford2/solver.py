@@ -69,6 +69,15 @@ class ConvergenceRow:
     rel_err: float
 
 
+def _check_depth(depth: int, backend: str) -> None:
+    """Reject an unknown backend or a depth outside that backend's budget."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    max_depth = MAX_DENSE_DEPTH if backend == "dense" else MAX_VECTOR_DEPTH
+    if not 1 <= depth <= max_depth:
+        raise DepthError(f"{backend} backend depth must be in [1, {max_depth}], got {depth}")
+
+
 def solve(
     depth: int,
     tolerance: float = 1e-14,
@@ -83,13 +92,9 @@ def solve(
     drops to ``tolerance``.  Raises :class:`ConvergenceError` if the cap is
     hit first.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    max_depth = MAX_DENSE_DEPTH if backend == "dense" else MAX_VECTOR_DEPTH
-    if not 1 <= depth <= max_depth:
-        raise DepthError(f"{backend} backend depth must be in [1, {max_depth}], got {depth}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _check_depth(depth, backend)
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
@@ -162,8 +167,7 @@ def convergence_table(
     max_iterations: int = 100_000,
 ) -> list[ConvergenceRow]:
     """Leading-pair probability and its relative error, one row per depth."""
-    if not 1 <= max_depth <= MAX_VECTOR_DEPTH:
-        raise DepthError(f"max_depth must be in [1, {MAX_VECTOR_DEPTH}], got {max_depth}")
+    _check_depth(max_depth, backend)
     reference = math.log2(1.5)
     rows = []
     for depth in range(1, max_depth + 1):

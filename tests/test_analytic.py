@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from benford2.analytic import (
     SUITES,
+    VerificationReport,
     harmonic_block_sum,
     normalization_check,
     riemann_sum,
@@ -277,8 +279,73 @@ class TestRunSuite:
         second = run_suite("integral", **kwargs)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"series_length": 0},
+            {"oracle_depth": 0},
+            {"samples": -1},
+            {"riemann_depths": ()},
+            {"harmonic_levels": ()},
+            {"oracle_paddings": ()},
+        ],
+    )
+    def test_budget_guards(self, budget):
+        with pytest.raises(ValueError):
+            run_suite("series", **budget)
+
     def test_suite_names_exported(self):
         assert set(SUITES) == {"matrix", "series", "integral", "harmonic"}
+
+
+def reference_series_reports(length, samples, seed):
+    """Both series reports rebuilt from one series_partial_sum per vector and order."""
+    mismatches = 0
+    checked = 0
+    for depth in range(1, length + 1):
+        for packed in range(1 << depth):
+            bits = unpack_bits(packed, depth)
+            if series_partial_sum(bits, depth) != 1 / (2 - truncate(bits, depth)):
+                mismatches += 1
+            checked += 1
+    rng = random.Random(seed)
+    grid = [(0,) * length, (1,) * length, tuple(i % 2 for i in range(length))]
+    grid += [tuple(rng.randrange(2) for _ in range(length)) for _ in range(samples)]
+    worst = 0.0
+    for bits in grid:
+        limit = 1 / (2 - truncate(bits, length))
+        for r in range(1, length + 1):
+            worst = max(worst, float(abs(series_partial_sum(bits, r) - limit)) / 2.0 ** (1 - r))
+    return [
+        VerificationReport(
+            "telescoping-exact", f"all t of len<={length} ({checked} vectors)", float(mismatches), 0.0
+        ),
+        VerificationReport(
+            "series-tail-bound", f"len={length} all partial orders (error scaled by 2^(1-R))", worst, 1.0
+        ),
+    ]
+
+
+class TestSeriesSuite:
+    def test_matches_per_order_reference(self):
+        reports = run_suite("series", series_length=6, samples=3, seed=11)
+        assert reports == reference_series_reports(6, 3, seed=11)
+        assert reports[1].error > 0.0
+
+    def test_perturbed_term_fails_telescoping(self, monkeypatch):
+        exact = term_value_by_endpoints
+
+        def perturbed(t, r):
+            # term 3 of every t that starts 101 is off by 2^-20
+            value = exact(t, r)
+            return value + Fraction(1, 1 << 20) if (tuple(t)[:r], r) == ((1, 0, 1), 3) else value
+
+        monkeypatch.setattr("benford2.analytic.term_value_by_endpoints", perturbed)
+        telescoping = run_suite("series", series_length=6, samples=3, seed=11)[0]
+        assert telescoping.identity == "telescoping-exact"
+        assert not telescoping.passed
+        # the perturbed prefix 101 and its 2 + 4 + 8 extensions up to length 6
+        assert telescoping.error == 15.0
 
 
 def test_report_line_format():

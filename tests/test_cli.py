@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import DEPTH2_PRINTED
@@ -79,6 +83,11 @@ class TestSolveCommand:
         )
         assert code == 1
         assert "no convergence" in err
+
+    def test_nan_tolerance_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve", "--k", "4", "--tolerance", "nan"])
+        assert excinfo.value.code == 2
 
     def test_backend_flag(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--k", "4", "--backend", "dense")
@@ -179,6 +188,33 @@ class TestVerifyCommand:
             cli.main(["verify", "--suite", "bogus"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            ["--riemann-depths", "30"],
+            ["--oracle-paddings", "0"],
+            ["--series-length", "0"],
+            ["--samples", "-1"],
+        ],
+    )
+    def test_out_of_range_budget_is_usage_error(self, capsys, budget):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", *budget])
+        assert excinfo.value.code == 2
+
+    def test_usage_error_has_no_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "benford2.cli", "verify", "--suite", "matrix", "--oracle-paddings", "0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_failing_report_exits_1(self, capsys, monkeypatch):
         failing = VerificationReport(identity="demo", params="p", error=1.0, bound=0.5)
         monkeypatch.setattr(cli.analytic, "run_suite", lambda *a, **k: [failing])
@@ -222,6 +258,16 @@ class TestEmpiricalCommand:
     def test_negative_bits_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["empirical", "--family", "pow3", "--n", "10", "--bits", "-1"])
+        assert excinfo.value.code == 2
+
+    def test_rearranged_negative_bits_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["empirical", "--family", "rearranged", "--n", "10", "--bits", "-1"])
+        assert excinfo.value.code == 2
+
+    def test_no_full_depth_block_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["empirical", "--family", "pow3", "--n", "1", "--bits", "5"])
         assert excinfo.value.code == 2
 
 

@@ -148,6 +148,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(3, backend="magic")
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve(3, tolerance=tolerance)
+
 
 class TestAggregate:
     def test_depth2_onto_first_bit(self):
@@ -237,6 +242,13 @@ class TestConvergenceTable:
             convergence_table(0)
         with pytest.raises(DepthError):
             convergence_table(25)
+
+    def test_dense_depth_checked_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("benford2.solver.solve", lambda *a, **k: calls.append(a))
+        with pytest.raises(DepthError):
+            convergence_table(13, backend="dense")
+        assert calls == []
 
 
 class TestErrorDecayRatios:
