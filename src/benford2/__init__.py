@@ -10,14 +10,12 @@ law empirically on classic fast-growing sequences.
 
 from benford2.analytic import (
     SUITES,
-    SeriesTerm,
     VerificationReport,
     harmonic_block_sum,
     normalization_check,
     riemann_sum,
     run_suite,
     series_partial_sum,
-    term_integral,
     term_value_by_endpoints,
     term_value_by_product,
 )
@@ -26,7 +24,6 @@ from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_VECTOR_DEPTH,
     Bits,
-    Block,
     DepthError,
     as_block_value,
     block_string,
@@ -62,14 +59,12 @@ from benford2.solver import (
 )
 from benford2.transition import (
     ChunkDecomposition,
-    TransitionMatrix,
     apply_dense,
     apply_fast,
     brute_force_element,
     build_dense,
     chunk_decomposition,
     element_from_chunks,
-    matrix_element,
     matrix_element_exact,
 )
 
@@ -77,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bits",
-    "Block",
     "ChunkDecomposition",
     "ConvergenceError",
     "ConvergenceRow",
@@ -89,9 +83,7 @@ __all__ = [
     "MAX_VECTOR_DEPTH",
     "SUITES",
     "SequenceSpec",
-    "SeriesTerm",
     "SolveReport",
-    "TransitionMatrix",
     "VerificationReport",
     "aggregate",
     "apply_dense",
@@ -115,7 +107,6 @@ __all__ = [
     "generate_blocks",
     "harmonic_block_sum",
     "leading_block",
-    "matrix_element",
     "matrix_element_exact",
     "normalization_check",
     "pack_bits",
@@ -125,7 +116,6 @@ __all__ = [
     "run_suite",
     "series_partial_sum",
     "solve",
-    "term_integral",
     "term_value_by_endpoints",
     "term_value_by_product",
     "truncate",

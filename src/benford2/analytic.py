@@ -22,17 +22,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from benford2.dyadic import (
+    MAX_COUNT_BITS,
     MAX_VECTOR_DEPTH,
     Bits,
-    Block,
     DepthError,
     as_block_value,
-    block_value,
     excess_population,
     pack_bits,
     truncate,
@@ -46,23 +45,6 @@ SUITES = ("matrix", "series", "integral", "harmonic")
 # Level cap keeps the harmonic loop budget near 2^26 terms.
 MAX_HARMONIC_LEVEL = 26
 DEFAULT_SEED = 20260809
-
-
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One term of the telescoping expansion of 1/(2-t).
-
-    The term at index r integrates 1/(1+a)^2 over [lower, upper], the range
-    where the scale fraction matches t's complement through r-1 places and
-    then jumps; the interval always has width 2^-r.  ``value`` is the exact
-    endpoint-difference form t_r * (1/(1+lower) - 1/(1+upper)).
-    """
-
-    index: int
-    bit: int
-    lower: Fraction
-    upper: Fraction
-    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -102,19 +84,19 @@ def riemann_sum(x: Iterable[int], depth: int) -> float:
     return float(np.sum(numerators / (1.0 + index / n) ** 2) / n)
 
 
-def _term_bounds(t: Bits, r: int) -> tuple[int, Fraction, Fraction]:
-    if not 1 <= r <= len(t):
-        raise ValueError(f"term index must be in [1, {len(t)}], got {r}")
-    head = truncate(t, r - 1)
-    upper = 1 - head
-    lower = upper - Fraction(1, 1 << r)
-    return t[r - 1], lower, upper
-
-
 def term_value_by_endpoints(t: Iterable[int], r: int) -> Fraction:
-    """Term r as the integral of 1/(1+a)^2: difference of endpoint values."""
-    bit, lower, upper = _term_bounds(validate_bits(t), r)
-    return bit * (Fraction(1, 1) / (1 + lower) - Fraction(1, 1) / (1 + upper))
+    """Term r as the integral of 1/(1+a)^2: difference of endpoint values.
+
+    The integral runs over [lower, upper], the range where the scale
+    fraction matches t's complement through r-1 places and then jumps; the
+    interval always has width 2^-r.
+    """
+    tb = validate_bits(t)
+    if not 1 <= r <= len(tb):
+        raise ValueError(f"term index must be in [1, {len(tb)}], got {r}")
+    upper = 1 - truncate(tb, r - 1)
+    lower = upper - Fraction(1, 1 << r)
+    return tb[r - 1] * (Fraction(1, 1) / (1 + lower) - Fraction(1, 1) / (1 + upper))
 
 
 def term_value_by_product(t: Iterable[int], r: int) -> Fraction:
@@ -125,13 +107,6 @@ def term_value_by_product(t: Iterable[int], r: int) -> Fraction:
     head = truncate(tb, r - 1)
     step = Fraction(1, 1 << r)
     return tb[r - 1] * step / ((2 - head) * (2 - head - step))
-
-
-def term_integral(t: Iterable[int], r: int) -> SeriesTerm:
-    """Bounds and exact value of term r of the telescoping expansion."""
-    tb = validate_bits(t)
-    bit, lower, upper = _term_bounds(tb, r)
-    return SeriesTerm(index=r, bit=bit, lower=lower, upper=upper, value=term_value_by_endpoints(tb, r))
 
 
 def series_partial_sum(t: Iterable[int], terms: int) -> Fraction:
@@ -149,7 +124,7 @@ def series_partial_sum(t: Iterable[int], terms: int) -> Fraction:
     return total
 
 
-def harmonic_block_sum(block: Union[Block, str, int], level: int) -> float:
+def harmonic_block_sum(block: Union[str, int], level: int) -> float:
     """Sum of 1/n over the block's scaled range [V*2^level, (V+1)*2^level).
 
     This is the left Riemann sum of 1/t over the range, so it brackets
@@ -462,7 +437,7 @@ def run_suite(
     iterable of suite names (empty iterable runs nothing).  All bounds are
     derived from the budget arguments, so shrunken budgets stay rigorous.
     Check failures are reported, never raised; an out-of-range budget
-    raises ``ValueError``.
+    raises ``ValueError`` before any suite runs.
     """
     if isinstance(which, str):
         selected = list(SUITES) if which == "all" else [which]
@@ -479,6 +454,15 @@ def run_suite(
         )
     if not riemann_depths or not harmonic_levels or not oracle_paddings:
         raise ValueError("riemann_depths, harmonic_levels and oracle_paddings must not be empty")
+    if any(not 1 <= depth <= MAX_VECTOR_DEPTH for depth in riemann_depths):
+        raise DepthError(f"riemann_depths must lie in [1, {MAX_VECTOR_DEPTH}], got {list(riemann_depths)}")
+    if any(not 1 <= level <= MAX_HARMONIC_LEVEL for level in harmonic_levels):
+        raise DepthError(f"harmonic_levels must lie in [1, {MAX_HARMONIC_LEVEL}], got {list(harmonic_levels)}")
+    if any(padding < 1 or oracle_depth + padding > MAX_COUNT_BITS for padding in oracle_paddings):
+        raise DepthError(
+            f"oracle_paddings must be >= 1 with oracle_depth + padding <= {MAX_COUNT_BITS}, "
+            f"got {list(oracle_paddings)} at oracle_depth {oracle_depth}"
+        )
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
     for name in selected:

@@ -100,31 +100,28 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve(args.k, tolerance=args.tolerance, max_iterations=args.max_iterations, backend=args.backend)
     reference = benford_reference("10", 2)
-    rel_err = abs(report.p10 - reference) / reference
+    # the JSON header and the CSV footer; str() of a Python float is its repr
+    summary = {
+        "k": report.depth,
+        "backend": report.backend,
+        "iterations": report.iterations,
+        "residual": report.residual,
+        "p10": report.p10,
+        "p11": report.p11,
+        "benford_p10": reference,
+        "rel_err": abs(report.p10 - reference) / reference,
+    }
     blocks = [block_string(i, args.k) for i in range(report.probabilities.size)]
     if args.format == "json":
-        payload = {
-            "k": report.depth,
-            "backend": report.backend,
-            "iterations": report.iterations,
-            "residual": report.residual,
-            "p10": report.p10,
-            "p11": report.p11,
-            "benford_p10": reference,
-            "rel_err": rel_err,
-            "probabilities": [
-                {"block": block, "p": float(p)} for block, p in zip(blocks, report.probabilities)
-            ],
-        }
+        payload = dict(
+            summary,
+            probabilities=[{"block": block, "p": float(p)} for block, p in zip(blocks, report.probabilities)],
+        )
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = ["block,p"]
         lines += [f"{block},{float(p)!r}" for block, p in zip(blocks, report.probabilities)]
-        lines.append(
-            f"k={report.depth} backend={report.backend} iterations={report.iterations} "
-            f"residual={report.residual!r} p10={report.p10!r} p11={report.p11!r} "
-            f"benford_p10={reference!r} rel_err={rel_err!r}"
-        )
+        lines.append(" ".join(f"{key}={value}" for key, value in summary.items()))
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
@@ -149,29 +146,18 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     if not 1 <= args.k <= MAX_DUMP_DEPTH:
         raise ValueError(f"--k must be in [1, {MAX_DUMP_DEPTH}] for a dump (4^k rows)")
-    matrix = transition.build_dense(args.k)
-    n = matrix.size
+    labels = [block_string(i, args.k) for i in range(1 << args.k)]
+    rows = [
+        (x, a, value)
+        for x, values in zip(labels, transition.build_dense(args.k).tolist())
+        for a, value in zip(labels, values)
+    ]
     if args.format == "json":
-        payload = {
-            "k": args.k,
-            "entries": [
-                {
-                    "x_bits": block_string(x, args.k),
-                    "alpha_bits": block_string(a, args.k),
-                    "value": float(matrix.entries[x, a]),
-                }
-                for x in range(n)
-                for a in range(n)
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        entries = [{"x_bits": x, "alpha_bits": a, "value": value} for x, a, value in rows]
+        text = json.dumps({"k": args.k, "entries": entries}, indent=2) + "\n"
     else:
         lines = ["x_bits,alpha_bits,value"]
-        lines += [
-            f"{block_string(x, args.k)},{block_string(a, args.k)},{float(matrix.entries[x, a])!r}"
-            for x in range(n)
-            for a in range(n)
-        ]
+        lines += [f"{x},{a},{value!r}" for x, a, value in rows]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0

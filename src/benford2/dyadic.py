@@ -14,7 +14,6 @@ point enters only at module boundaries that need it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -133,48 +132,12 @@ def excess_population_fast(alpha: Iterable[int], x: Iterable[int]) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Block:
-    """A leading block ``1 b1 ... bk``, identified by the bits after the 1."""
-
-    bits: Bits
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", validate_bits(self.bits))
-
-    @property
-    def depth(self) -> int:
-        return len(self.bits)
-
-    @property
-    def value(self) -> int:
-        return block_value(self.bits)
-
-    @classmethod
-    def from_string(cls, digits: str) -> "Block":
-        if not digits or digits[0] != "1":
-            raise ValueError(f"a binary block must start with 1, got {digits!r}")
-        return cls(tuple(int(c) for c in digits[1:]))
-
-    @classmethod
-    def from_value(cls, value: int) -> "Block":
-        if value < 1:
-            raise ValueError(f"block value must be >= 1, got {value}")
-        depth = value.bit_length() - 1
-        return cls(unpack_bits(value - (1 << depth), depth))
-
-    def __str__(self) -> str:
-        return block_string(pack_bits(self.bits), self.depth)
-
-
-def as_block_value(block: Union[Block, str, int], base: int = 2) -> int:
-    """Coerce a block given as :class:`Block`, digit string, or value.
+def as_block_value(block: Union[str, int], base: int = 2) -> int:
+    """Coerce a block given as a digit string or as its value.
 
     Strings are read as digits in ``base`` (leading digit nonzero); plain
     integers are taken as the block value itself.
     """
-    if isinstance(block, Block):
-        return block.value
     if isinstance(block, str):
         if not block or block[0] == "0":
             raise ValueError(f"block digits must not start with 0: {block!r}")

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Sequence
 from benford2.solver import benford_reference
 
 FAMILIES = ("pow3", "fibonacci", "factorial", "rearranged")
-_FAMILY_ALIASES = {"powers-of-3": "pow3", "rearranged-demo": "rearranged"}
 
 _FRACTION_BITS = 64
 _ONE = 1 << _FRACTION_BITS
@@ -44,10 +43,8 @@ class SequenceSpec:
     base: int = 2
 
     def __post_init__(self) -> None:
-        canonical = _FAMILY_ALIASES.get(self.family, self.family)
-        if canonical not in FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        object.__setattr__(self, "family", canonical)
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.block_bits < 0:

@@ -24,7 +24,6 @@ import numpy as np
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_VECTOR_DEPTH,
-    Block,
     DepthError,
     as_block_value,
 )
@@ -140,7 +139,7 @@ def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:
     return v.reshape(1 << prefix_bits, -1).sum(axis=1)
 
 
-def benford_reference(block: Union[Block, str, int], base: int = 2) -> float:
+def benford_reference(block: Union[str, int], base: int = 2) -> float:
     """Reference probability log_base(1 + 1/value) of a leading block."""
     if int(base) != base or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base}")

@@ -38,26 +38,6 @@ from benford2.dyadic import (
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Dense 2^k x 2^k matrix of limiting scaled probabilities.
-
-    ``entries[x, a]`` is indexed by packed target bits x (row) and packed
-    scale bits a (column).  Entries are stored column-major so that column
-    sums and the power iteration both stream whole columns.
-    """
-
-    depth: int
-    entries: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return 1 << self.depth
-
-    def column_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
-
-
-@dataclass(frozen=True)
 class ChunkDecomposition:
     """Partition of [0, scale) into the base chunk plus one chunk per bit.
 
@@ -85,13 +65,12 @@ def matrix_element_exact(x: Iterable[int], alpha: Iterable[int]) -> Fraction:
     return Fraction(1 + excess_population_fast(ab, xb), block_value(ab))
 
 
-def matrix_element(x: Iterable[int], alpha: Iterable[int]) -> float:
-    """Limiting entry as a float, rounded once from the exact rational."""
-    return float(matrix_element_exact(x, alpha))
-
-
-def build_dense(depth: int) -> TransitionMatrix:
+def build_dense(depth: int) -> np.ndarray:
     """Materialize all 4^k entries for 1 <= k <= 12.
+
+    Entry ``[x, a]`` is indexed by packed target bits x (row) and packed
+    scale bits a (column).  The array is column-major so that column sums
+    and the power iteration both stream whole columns.
 
     Every entry is the quotient of two exact small integers, so a single
     float64 division yields the correctly rounded value of the exact
@@ -104,16 +83,15 @@ def build_dense(depth: int) -> TransitionMatrix:
     excess = index[np.newaxis, :] > index[:, np.newaxis]
     numerators = 1.0 + excess
     scale_values = (n + index).astype(np.float64)
-    entries = np.asfortranarray(numerators / scale_values[np.newaxis, :])
-    return TransitionMatrix(depth=depth, entries=entries)
+    return np.asfortranarray(numerators / scale_values[np.newaxis, :])
 
 
-def apply_dense(matrix: TransitionMatrix, vector: np.ndarray) -> np.ndarray:
+def apply_dense(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Plain matrix-vector product against the dense entries."""
     v = np.asarray(vector, dtype=np.float64)
-    if v.shape != (matrix.size,):
-        raise ValueError(f"vector shape {v.shape} does not match depth {matrix.depth}")
-    return matrix.entries @ v
+    if v.shape != matrix.shape[:1]:
+        raise ValueError(f"vector shape {v.shape} does not match matrix shape {matrix.shape}")
+    return matrix @ v
 
 
 def apply_fast(vector: np.ndarray, depth: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from benford2.analytic import (
     riemann_sum,
     run_suite,
     series_partial_sum,
-    term_integral,
     term_value_by_endpoints,
     term_value_by_product,
 )
@@ -66,29 +65,14 @@ class TestRiemannSum:
 
 class TestTermIntegral:
     def test_zero_bit_vanishes(self):
-        term = term_integral((0, 1), 1)
-        assert term.value == 0
-        assert term.bit == 0
+        assert term_value_by_endpoints((0, 1), 1) == 0
 
     def test_first_term_hand_value(self):
-        term = term_integral((1,), 1)
-        assert term.lower == Fraction(1, 2)
-        assert term.upper == 1
-        assert term.value == Fraction(1, 6)
+        assert term_value_by_endpoints((1,), 1) == Fraction(1, 6)
 
     def test_second_term_hand_value(self):
-        term = term_integral((1, 1), 2)
-        assert term.lower == Fraction(1, 4)
-        assert term.upper == Fraction(1, 2)
-        assert term.value == Fraction(2, 15)
+        assert term_value_by_endpoints((1, 1), 2) == Fraction(2, 15)
         assert term_value_by_endpoints((1, 1), 2) == term_value_by_product((1, 1), 2)
-
-    def test_interval_width(self):
-        for length in range(1, 10):
-            bits = unpack_bits((length * 37) % (1 << length), length)
-            for r in range(1, length + 1):
-                term = term_integral(bits, r)
-                assert term.upper - term.lower == Fraction(1, 1 << r)
 
     def test_two_forms_exhaustive(self):
         for length in range(1, 9):
@@ -108,9 +92,9 @@ class TestTermIntegral:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            term_integral((1, 0), 3)
+            term_value_by_endpoints((1, 0), 3)
         with pytest.raises(ValueError):
-            term_integral((1, 0), 0)
+            term_value_by_endpoints((1, 0), 0)
 
 
 class TestSeriesPartialSum:
@@ -288,11 +272,22 @@ class TestRunSuite:
             {"riemann_depths": ()},
             {"harmonic_levels": ()},
             {"oracle_paddings": ()},
+            {"riemann_depths": (10, 30)},
+            {"harmonic_levels": (30,)},
+            {"oracle_paddings": (0,)},
+            {"oracle_depth": 6, "oracle_paddings": (8, 35)},
         ],
     )
-    def test_budget_guards(self, budget):
+    def test_budget_guards(self, budget, monkeypatch):
+        # every budget is checked before the first suite runs
+        calls = []
+        for name in ("_check_matrix", "_check_integral", "_check_series", "_check_harmonic"):
+            monkeypatch.setattr(
+                f"benford2.analytic.{name}", lambda *args, name=name, **kwargs: calls.append(name)
+            )
         with pytest.raises(ValueError):
-            run_suite("series", **budget)
+            run_suite("all", **budget)
+        assert calls == []
 
     def test_suite_names_exported(self):
         assert set(SUITES) == {"matrix", "series", "integral", "harmonic"}

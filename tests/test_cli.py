@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import DEPTH2_PRINTED
 
+import benford2
 from benford2 import cli
 from benford2.analytic import VerificationReport
 from benford2.solver import convergence_table, solve
@@ -31,10 +33,35 @@ VERIFY_QUICK = [
 ]
 
 
+# sha256 of stdout for small commands: any change to a printed byte shows here
+PINNED_STDOUT = {
+    "solve --k 4": "c8683e58fb2aa7f30816a08b16b310755050a4864f6f046a469ebc3e0d5ef6f2",
+    "solve --k 4 --format json": "e177a08f172d25ea9c26c8a3dbd3cca852e2366914b5a5b51420097f6079014c",
+    "table1 --kmax 6": "63758c189fa989c5a43d6c2b25e95f26b8852925c9c398f4b9e6ae374dab2d10",
+    "table1 --kmax 6 --format json": "ce676c16edee5b3a656ca81e69dc8d028ac8332858bf55cf4e27e2127498be6c",
+    "matrix --k 2": "8086c1c9d64b06af899eeefd0bb5f651823f5a91ac62f15157bbc4757e878a90",
+    "matrix --k 2 --format json": "ecc33d40a0f2d7e4624b604dbb80d1cbc7e4c1917116adaf4d6ec39622066e6d",
+    "empirical --family pow3 --n 500 --bits 2": "1dfdacd05db0afbaa8c8b2470774f6fe666ce75a0e8ba155caa42b7e7dbbec39",
+    "empirical --family rearranged --n 100": "e66802f0c078c5182153221b35c278505bb234aebebb863b64a9ab0953414063",
+}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_pinned_stdout(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+def test_public_names_resolve_once():
+    assert len(set(benford2.__all__)) == len(benford2.__all__)
+    assert [name for name in benford2.__all__ if not hasattr(benford2, name)] == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -195,6 +222,7 @@ class TestVerifyCommand:
             ["--oracle-paddings", "0"],
             ["--series-length", "0"],
             ["--samples", "-1"],
+            ["--harmonic-levels", "30"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, budget):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from benford2.dyadic import (
-    Block,
     DepthError,
     as_block_value,
     block_string,
@@ -181,33 +180,8 @@ class TestTruncate:
             truncate((1, 0), -1)
 
 
-class TestBlock:
-    def test_from_string_roundtrip(self):
-        block = Block.from_string("101")
-        assert block.bits == (0, 1)
-        assert block.value == 5
-        assert str(block) == "101"
-
-    def test_from_value(self):
-        assert Block.from_value(1) == Block(())
-        assert Block.from_value(6) == Block.from_string("110")
-
-    def test_depth(self):
-        assert Block.from_string("1").depth == 0
-        assert Block.from_string("1101").depth == 3
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Block.from_string("011")
-        with pytest.raises(ValueError):
-            Block.from_value(0)
-        with pytest.raises(ValueError):
-            Block((0, 2))
-
-
 class TestAsBlockValue:
     def test_variants(self):
-        assert as_block_value(Block.from_string("10")) == 2
         assert as_block_value("10") == 2
         assert as_block_value("11") == 3
         assert as_block_value(7) == 7

@@ -84,10 +84,6 @@ class TestGenerateBlocks:
         expected = [leading_block(exact_terms(i), block_bits, base) for i in range(1, 201)]
         assert windowed == expected
 
-    def test_family_aliases(self):
-        assert SequenceSpec("powers-of-3", count=1).family == "pow3"
-        assert SequenceSpec("rearranged-demo", count=4).family == "rearranged"
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SequenceSpec("collatz", count=5)
