@@ -28,6 +28,7 @@ import numpy as np
 
 from benford2.dyadic import (
     MAX_COUNT_BITS,
+    MAX_DUMP_DEPTH,
     MAX_VECTOR_DEPTH,
     Bits,
     DepthError,
@@ -447,11 +448,10 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES + ('all',)}")
 
-    if series_length < 1 or oracle_depth < 1 or samples < 0:
-        raise ValueError(
-            "series_length and oracle_depth must be >= 1 and samples >= 0, "
-            f"got {series_length}, {oracle_depth}, {samples}"
-        )
+    if series_length < 1 or samples < 0:
+        raise ValueError(f"series_length must be >= 1 and samples >= 0, got {series_length}, {samples}")
+    if not 1 <= oracle_depth <= MAX_DUMP_DEPTH:  # the oracle walks 4^k pairs per depth
+        raise DepthError(f"oracle_depth must be in [1, {MAX_DUMP_DEPTH}], got {oracle_depth}")
     if not riemann_depths or not harmonic_levels or not oracle_paddings:
         raise ValueError("riemann_depths, harmonic_levels and oracle_paddings must not be empty")
     if any(not 1 <= depth <= MAX_VECTOR_DEPTH for depth in riemann_depths):

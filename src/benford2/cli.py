@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 from benford2 import analytic, empirical, transition
-from benford2.dyadic import block_string
+from benford2.dyadic import MAX_DUMP_DEPTH, block_string
 from benford2.solver import (
     ConvergenceError,
     benford_reference,
@@ -22,7 +23,7 @@ from benford2.solver import (
     solve,
 )
 
-MAX_DUMP_DEPTH = 8  # matrix dumps materialize 4^k rows
+CHUNK_BITS = 16  # solve formats and writes 2^16 rows at a time
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -36,11 +37,16 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _sink(out: str | None) -> Iterator[TextIO]:
+    """Yield what a handler writes to: ``sys.stdout`` as it is at call time
+    (so a ``redirect_stdout`` around ``main`` holds), or PATH opened with the
+    encoding and newlines ``Path.write_text`` would use."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            yield handle
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,19 +117,34 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "benford_p10": reference,
         "rel_err": abs(report.p10 - reference) / reference,
     }
-    blocks = [block_string(i, args.k) for i in range(report.probabilities.size)]
     if args.format == "json":
-        payload = dict(
-            summary,
-            probabilities=[{"block": block, "p": float(p)} for block, p in zip(blocks, report.probabilities)],
-        )
-        text = json.dumps(payload, indent=2) + "\n"
+        # json.dumps(payload, indent=2) written piecewise: the summary still goes
+        # through json, and each row is json's layout with a finite float, which
+        # json prints as its repr
+        head = json.dumps(summary, indent=2).removesuffix("\n}") + ',\n  "probabilities": [\n'
+        tail = "\n  ]\n}\n"
     else:
-        lines = ["block,p"]
-        lines += [f"{block},{float(p)!r}" for block, p in zip(blocks, report.probabilities)]
-        lines.append(" ".join(f"{key}={value}" for key, value in summary.items()))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        head = "block,p\n"
+        tail = " ".join(f"{key}={value}" for key, value in summary.items()) + "\n"
+    # the rows of one chunk share their leading bits: label = prefix + suffix
+    low = min(args.k, CHUNK_BITS)
+    suffixes = [format(i, f"0{low}b") for i in range(1 << low)]
+    with _sink(args.out) as out:
+        out.write(head)
+        for chunk in range(1 << (args.k - low)):
+            prefix = block_string(chunk, args.k - low)
+            values = report.probabilities[chunk << low : (chunk + 1) << low].tolist()
+            if args.format == "json":
+                rows = [
+                    f'    {{\n      "block": "{prefix}{suffix}",\n      "p": {value!r}\n    }}'
+                    for suffix, value in zip(suffixes, values)
+                ]
+                if chunk:
+                    out.write(",\n")
+                out.write(",\n".join(rows))
+            else:
+                out.write("".join([f"{prefix}{suffix},{value!r}\n" for suffix, value in zip(suffixes, values)]))
+        out.write(tail)
     return 0
 
 
@@ -139,7 +160,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         lines = ["k,p10,benford_p10,rel_err"]
         lines += [f"{row.depth},{row.p10:.6f},{row.reference!r},{row.rel_err!r}" for row in rows]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    with _sink(args.out) as out:
+        out.write(text)
     return 0
 
 
@@ -159,7 +181,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         lines = ["x_bits,alpha_bits,value"]
         lines += [f"{x},{a},{value!r}" for x, a, value in rows]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    with _sink(args.out) as out:
+        out.write(text)
     return 0
 
 
@@ -175,7 +198,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     text = "\n".join(report.line() for report in reports) + "\n"
-    _emit(text, args.out)
+    with _sink(args.out) as out:
+        out.write(text)
     return 0 if all(report.passed for report in reports) else 1
 
 
@@ -184,7 +208,8 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     if spec.family == "rearranged":
         natural, rearranged = empirical.rearrangement_demo(spec.count)
         text = f"sequence,multiple_of_four_freq\nnatural,{natural!r}\nrearranged,{rearranged!r}\n"
-        _emit(text, args.out)
+        with _sink(args.out) as out:
+            out.write(text)
         return 0
     report = empirical.frequency_report(empirical.generate_blocks(spec), args.bits, args.base)
     lines = ["block,observed_count,observed_freq,expected_freq,abs_dev"]
@@ -193,7 +218,8 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     ]
     lines.append(f"chi2={report.chi_square!r} dof={report.dof} max_dev={report.max_deviation!r}")
     text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    with _sink(args.out) as out:
+        out.write(text)
     return 0
 
 

@@ -20,10 +20,12 @@ from typing import Iterable, Union
 Bits = tuple[int, ...]
 
 # Resource budgets.  Vector-shaped work allocates 2^k entries, dense matrix
-# work allocates 4^k entries, and the integer counting oracle walks numbers
-# of k+padding bits.
+# work allocates 4^k entries, Python loops over all 4^k matrix entries (a
+# matrix dump, the counting oracle) stop at MAX_DUMP_DEPTH, and the integer
+# counting oracle walks numbers of k+padding bits.
 MAX_VECTOR_DEPTH = 24
 MAX_DENSE_DEPTH = 12
+MAX_DUMP_DEPTH = 8
 MAX_COUNT_BITS = 40
 
 

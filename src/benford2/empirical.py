@@ -83,6 +83,15 @@ def _digit_string(value: int, base: int) -> str:
     return "".join(reversed(out))
 
 
+def _is_digit_string(block: str, base: int) -> bool:
+    """True iff ``block`` is how :func:`_digit_string` writes a positive value."""
+    try:
+        value = int(block, base)
+    except ValueError:
+        return False
+    return value > 0 and _digit_string(value, base) == block
+
+
 def _digit_count(value: int, base: int) -> int:
     if base == 2:
         return value.bit_length()
@@ -236,18 +245,15 @@ def frequency_report(blocks: Sequence[str], block_bits: int, base: int = 2) -> F
         raise ValueError(f"block_bits must be >= 0, got {block_bits}")
     if not 2 <= base <= 36:
         raise ValueError(f"base must be in [2, 36], got {base}")
-    values = range(base**block_bits, base ** (block_bits + 1))
-    names = tuple(_digit_string(v, base) for v in values)
-    known = set(names)
-    counted = Counter()
-    for block in blocks:
-        if len(block) == block_bits + 1:
-            if block not in known:
-                raise ValueError(f"malformed block {block!r} for base {base}")
-            counted[block] += 1
+    counted = Counter(block for block in blocks if len(block) == block_bits + 1)
+    for block in counted:  # first-seen order, so the first malformed block is named
+        if not _is_digit_string(block, base):
+            raise ValueError(f"malformed block {block!r} for base {base}")
     total = sum(counted.values())
     if total == 0:
         raise ValueError("no blocks of full depth to count")
+    values = range(base**block_bits, base ** (block_bits + 1))
+    names = tuple(_digit_string(v, base) for v in values)
     counts = tuple(counted.get(name, 0) for name in names)
     observed = tuple(c / total for c in counts)
     expected = tuple(benford_reference(v, base) for v in values)

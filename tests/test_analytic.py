@@ -268,6 +268,7 @@ class TestRunSuite:
         [
             {"series_length": 0},
             {"oracle_depth": 0},
+            {"oracle_depth": 9},
             {"samples": -1},
             {"riemann_depths": ()},
             {"harmonic_levels": ()},

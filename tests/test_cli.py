@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,9 @@ VERIFY_QUICK = [
 PINNED_STDOUT = {
     "solve --k 4": "c8683e58fb2aa7f30816a08b16b310755050a4864f6f046a469ebc3e0d5ef6f2",
     "solve --k 4 --format json": "e177a08f172d25ea9c26c8a3dbd3cca852e2366914b5a5b51420097f6079014c",
+    # 2^17 rows: two chunks of cli.CHUNK_BITS = 16
+    "solve --k 17": "a1ae2e03cbef7cf73cbdac100b39637e46b3ecab0a51fe53d74884733f6ddbcb",
+    "solve --k 17 --format json": "4a479d2a29c033d32e1111f1b66810d302d84e3f0bcc04d60922cd818cb7fe4b",
     "table1 --kmax 6": "63758c189fa989c5a43d6c2b25e95f26b8852925c9c398f4b9e6ae374dab2d10",
     "table1 --kmax 6 --format json": "ce676c16edee5b3a656ca81e69dc8d028ac8332858bf55cf4e27e2127498be6c",
     "matrix --k 2": "8086c1c9d64b06af899eeefd0bb5f651823f5a91ac62f15157bbc4757e878a90",
@@ -120,6 +125,35 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--k", "4", "--backend", "dense")
         assert code == 0
         assert "backend=dense" in out
+
+    @pytest.mark.parametrize("chunk_bits", [1, 2])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunk_size_keeps_bytes(self, capsys, monkeypatch, chunk_bits, fmt):
+        _, whole, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
+        monkeypatch.setattr(cli, "CHUNK_BITS", chunk_bits)
+        code, chunked, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
+        assert code == 0
+        assert chunked == whole
+
+    def test_peak_rss_does_not_grow_with_output(self):
+        # the rows stream out in chunks: 283 MB when they were joined first
+        argv = [sys.executable, "-m", "benford2.cli", "solve", "--k", "18", "--format", "json"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        pid = os.posix_spawn(
+            sys.executable, argv, env, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+        )
+        deadline = time.monotonic() + 120
+        while True:
+            reaped, status, usage = os.wait4(pid, os.WNOHANG)
+            if reaped:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.wait4(pid, 0)
+                pytest.fail("solve --k 18 --format json did not finish in 120 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert usage.ru_maxrss < 128 * 1024  # KiB on Linux
 
 
 class TestTable1Command:
@@ -223,6 +257,7 @@ class TestVerifyCommand:
             ["--series-length", "0"],
             ["--samples", "-1"],
             ["--harmonic-levels", "30"],
+            ["--oracle-depth", "9", "--oracle-paddings", "8"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, budget):
@@ -298,6 +333,14 @@ class TestEmpiricalCommand:
             cli.main(["empirical", "--family", "pow3", "--n", "1", "--bits", "5"])
         assert excinfo.value.code == 2
 
+    def test_no_full_depth_block_fails_before_name_table(self, capsys):
+        # 2^20 block names would take seconds to build; none is needed to fail
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["empirical", "--family", "pow3", "--n", "10", "--bits", "20"])
+        assert excinfo.value.code == 2
+        assert time.perf_counter() - start < 1.0
+
 
 class TestOutPath:
     def test_writes_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
@@ -308,3 +351,22 @@ class TestOutPath:
         content = target.read_text()
         assert content.startswith("k,p10,")
         assert len(content.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "solve --k 5",
+            "solve --k 5 --format json",
+            "matrix --k 2",
+            "table1 --kmax 4",
+            "verify --suite integral",
+            "empirical --family pow3 --n 500 --bits 2",
+        ],
+    )
+    def test_file_bytes_equal_stdout(self, capsys, tmp_path, command):
+        _, printed, _ = run_cli(capsys, *command.split())
+        target = tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, *command.split(), "--out", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_bytes() == printed.encode()

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -130,6 +131,26 @@ class TestFrequencyReport:
     def test_malformed_block(self):
         with pytest.raises(ValueError):
             frequency_report(["02"], 1, 2)
+
+    @pytest.mark.parametrize(
+        "blocks, bits, base",
+        [
+            (["10", "-1"], 1, 2),
+            (["10", "+1"], 1, 2),
+            (["10", " 1"], 1, 2),
+            (["10", "12"], 1, 2),
+            (["100", "1_0"], 2, 2),
+            (["1a", "1A"], 1, 16),
+        ],
+    )
+    def test_malformed_block_named(self, blocks, bits, base):
+        # int() accepts some of these; only the canonical digit string counts
+        with pytest.raises(ValueError, match=re.escape(f"malformed block {blocks[1]!r}")):
+            frequency_report(blocks, bits, base)
+
+    def test_first_malformed_block_named(self):
+        with pytest.raises(ValueError, match="malformed block '1x'"):
+            frequency_report(["10", "1x", "11", "1y", "1x"], 1, 2)
 
     def test_powers_of_three_binary_pair(self):
         spec = SequenceSpec("pow3", count=100_000, block_bits=1, base=2)
