@@ -58,13 +58,10 @@ from benford2.solver import (
     solve,
 )
 from benford2.transition import (
-    ChunkDecomposition,
     apply_dense,
     apply_fast,
     brute_force_element,
     build_dense,
-    chunk_decomposition,
-    element_from_chunks,
     matrix_element_exact,
 )
 
@@ -72,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bits",
-    "ChunkDecomposition",
     "ConvergenceError",
     "ConvergenceRow",
     "DepthError",
@@ -95,11 +91,9 @@ __all__ = [
     "block_value",
     "brute_force_element",
     "build_dense",
-    "chunk_decomposition",
     "complement",
     "convergence_table",
     "dyadic_value",
-    "element_from_chunks",
     "error_decay_ratios",
     "excess_population",
     "excess_population_fast",

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from benford2.dyadic import MAX_REPORT_ROWS, DepthError
 from benford2.solver import benford_reference
 
 FAMILIES = ("pow3", "fibonacci", "factorial", "rearranged")
@@ -239,12 +240,21 @@ def frequency_report(blocks: Sequence[str], block_bits: int, base: int = 2) -> F
 
     Blocks shorter than 1 + block_bits digits (clipped small terms) are
     excluded from the counts.  The expected column telescopes to total
-    probability 1 across the full block range.
+    probability 1 across the full block range.  A range of more than
+    ``MAX_REPORT_ROWS`` blocks raises :class:`DepthError` before any block
+    is read.
     """
     if block_bits < 0:
         raise ValueError(f"block_bits must be >= 0, got {block_bits}")
     if not 2 <= base <= 36:
         raise ValueError(f"base must be in [2, 36], got {base}")
+    # one row per block of 1 + block_bits digits; 2^bit_length is already
+    # over the budget, so capping the exponent there avoids a huge power
+    if (base - 1) * base ** min(block_bits, MAX_REPORT_ROWS.bit_length()) > MAX_REPORT_ROWS:
+        raise DepthError(
+            f"block_bits={block_bits} in base {base} gives more than "
+            f"{MAX_REPORT_ROWS} report rows"
+        )
     counted = Counter(block for block in blocks if len(block) == block_bits + 1)
     for block in counted:  # first-seen order, so the first malformed block is named
         if not _is_digit_string(block, base):

@@ -103,7 +103,10 @@ def solve(
     for iteration in range(1, max_iterations + 1):
         nxt = apply_dense(matrix, current) if matrix is not None else apply_fast(current, depth)
         nxt /= nxt.sum()
-        residual = float(np.max(np.abs(nxt - current)))
+        # the step's max-norm, in the old iterate's buffer; rebinding
+        # ``current`` then frees that buffer before the next product
+        np.subtract(nxt, current, out=current)
+        residual = float(np.abs(current, out=current).max())
         current = nxt
         if residual <= tolerance:
             break

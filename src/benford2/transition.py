@@ -19,9 +19,8 @@ integer-counting oracle evaluated at finite scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -29,33 +28,11 @@ from benford2.dyadic import (
     MAX_COUNT_BITS,
     MAX_DENSE_DEPTH,
     MAX_VECTOR_DEPTH,
-    Bits,
     DepthError,
     block_value,
     excess_population_fast,
     validate_bits,
 )
-
-
-@dataclass(frozen=True)
-class ChunkDecomposition:
-    """Partition of [0, scale) into the base chunk plus one chunk per bit.
-
-    ``boundaries`` holds the k+2 interval endpoints starting at 0; chunk r
-    is ``[boundaries[r], boundaries[r+1])`` and has size ``sizes[r]``.  When
-    a target block is supplied, ``fractions[r]`` is the exact population
-    fraction of that block inside chunk r (zero for empty chunks).
-    """
-
-    depth: int
-    padding: int
-    boundaries: tuple[int, ...]
-    sizes: tuple[int, ...]
-    fractions: Optional[tuple[Fraction, ...]] = None
-
-    @property
-    def total(self) -> int:
-        return self.boundaries[-1]
 
 
 def matrix_element_exact(x: Iterable[int], alpha: Iterable[int]) -> Fraction:
@@ -74,16 +51,19 @@ def build_dense(depth: int) -> np.ndarray:
 
     Every entry is the quotient of two exact small integers, so a single
     float64 division yields the correctly rounded value of the exact
-    rational; no further arithmetic touches the entries.
+    rational; no further arithmetic touches the entries.  The 2's are
+    filled in as doubled 1/scale values, which is exact: 2*fl(1/s) equals
+    fl(2/s).  The transpose ``[a, x]`` is built row by row in C order, and
+    its ``.T`` is the column-major ``[x, a]`` view with no copy.
     """
     if not 1 <= depth <= MAX_DENSE_DEPTH:
         raise DepthError(f"dense depth must be in [1, {MAX_DENSE_DEPTH}], got {depth}")
     n = 1 << depth
-    index = np.arange(n, dtype=np.int64)
-    excess = index[np.newaxis, :] > index[:, np.newaxis]
-    numerators = 1.0 + excess
-    scale_values = (n + index).astype(np.float64)
-    return np.asfortranarray(numerators / scale_values[np.newaxis, :])
+    transposed = np.empty((n, n))
+    transposed[...] = 1.0 / np.arange(n, 2 * n, dtype=np.float64)[:, np.newaxis]
+    # below the diagonal of [a, x] the scale exceeds the target: numerator 2
+    np.multiply(transposed, 2.0, out=transposed, where=np.tri(n, k=-1, dtype=bool))
+    return transposed.T
 
 
 def apply_dense(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -101,7 +81,8 @@ def apply_fast(vector: np.ndarray, depth: int) -> np.ndarray:
     sum of w plus the partial sum of w over scales strictly above x in
     dyadic order.  One reversed cumulative sum provides every suffix at
     once, so no 4^k work is ever done.  Agrees with :func:`apply_dense`
-    componentwise to ~1e-15.
+    componentwise to ~1e-15.  The input is not modified; the weights and
+    the returned array are the only 2^k allocations.
     """
     v = np.asarray(vector, dtype=np.float64)
     if depth < 1 or depth > MAX_VECTOR_DEPTH:
@@ -109,9 +90,13 @@ def apply_fast(vector: np.ndarray, depth: int) -> np.ndarray:
     n = 1 << depth
     if v.shape != (n,):
         raise ValueError(f"vector length {v.shape} is not 2^{depth}")
-    weights = v / (n + np.arange(n, dtype=np.float64))
-    suffix = np.cumsum(weights[::-1])[::-1]  # suffix[x] = sum of weights[x:]
-    return suffix[0] + suffix - weights
+    weights = np.arange(n, 2 * n, dtype=np.float64)
+    np.divide(v, weights, out=weights)
+    out = np.empty(n)
+    np.cumsum(weights[::-1], out=out[::-1])  # out[x] = sum of weights[x:]
+    np.add(out, out[0], out=out)
+    np.subtract(out, weights, out=out)
+    return out
 
 
 def brute_force_element(x: Iterable[int], alpha: Iterable[int], padding: int) -> Fraction:
@@ -144,61 +129,3 @@ def brute_force_element(x: Iterable[int], alpha: Iterable[int], padding: int) ->
         shift += 1
     return Fraction(count, limit)
 
-
-def chunk_decomposition(
-    alpha: Iterable[int], padding: int, target: Optional[Iterable[int]] = None
-) -> ChunkDecomposition:
-    """Split [0, scale) into the base chunk plus one chunk per scale bit.
-
-    Chunk 0 is [0, 2^(k+m)); chunk r >= 1 covers the numbers whose leading
-    bits match the scale through bit r-1 with bit r dropped to zero, which
-    is empty when a_r = 0 and has size a_r * 2^(m+k-r) otherwise.  The
-    endpoint after chunk r is the value of the scale prefix ``1 a1 .. ar``
-    shifted to full width, so consecutive chunks tile the range exactly.
-    """
-    ab = validate_bits(alpha)
-    if padding < 1:
-        raise ValueError(f"padding must be >= 1, got {padding}")
-    k = len(ab)
-    if k + padding > MAX_COUNT_BITS:
-        raise DepthError(
-            f"depth+padding {k + padding} exceeds the counting budget {MAX_COUNT_BITS}"
-        )
-    boundaries = [0]
-    for r in range(k + 1):
-        boundaries.append(block_value(ab[:r]) << (padding + k - r))
-    sizes = tuple(boundaries[i + 1] - boundaries[i] for i in range(k + 1))
-
-    fractions: Optional[tuple[Fraction, ...]] = None
-    if target is not None:
-        tb = validate_bits(target)
-        if len(tb) != k:
-            raise ValueError(f"target length {len(tb)} does not match depth {k}")
-        fracs = [Fraction(1, 1 << k)]
-        for r in range(1, k + 1):
-            if ab[r - 1] and tb[r - 1] == 0 and ab[: r - 1] == tb[: r - 1]:
-                fracs.append(Fraction(1, 1 << (k - r)))
-            else:
-                fracs.append(Fraction(0))
-        fractions = tuple(fracs)
-
-    return ChunkDecomposition(
-        depth=k,
-        padding=padding,
-        boundaries=tuple(boundaries),
-        sizes=sizes,
-        fractions=fractions,
-    )
-
-
-def element_from_chunks(x: Bits, alpha: Bits, padding: int = 1) -> Fraction:
-    """Rebuild the limiting entry from the chunk populations.
-
-    Weights each chunk's exact population fraction by its size; the padding
-    cancels, so any padding reproduces the limiting matrix element.  This is
-    the set-decomposition route, independent of the excess-indicator form.
-    """
-    chunks = chunk_decomposition(alpha, padding, target=x)
-    assert chunks.fractions is not None
-    weighted = sum(p * s for p, s in zip(chunks.fractions, chunks.sizes))
-    return Fraction(weighted, chunks.total)

@@ -44,6 +44,8 @@ PINNED_STDOUT = {
     "solve --k 17 --format json": "4a479d2a29c033d32e1111f1b66810d302d84e3f0bcc04d60922cd818cb7fe4b",
     "table1 --kmax 6": "63758c189fa989c5a43d6c2b25e95f26b8852925c9c398f4b9e6ae374dab2d10",
     "table1 --kmax 6 --format json": "ce676c16edee5b3a656ca81e69dc8d028ac8332858bf55cf4e27e2127498be6c",
+    "table1 --kmax 18": "62ee5fb5800c1877f612fa706ac1e371301b6790aa64f484837df7770551132e",
+    "table1 --kmax 11 --backend dense": "4710d4e81dfb7dc14d78a918859e4f09b7cf928536b7a2bcea5da3dc380dfc77",
     "matrix --k 2": "8086c1c9d64b06af899eeefd0bb5f651823f5a91ac62f15157bbc4757e878a90",
     "matrix --k 2 --format json": "ecc33d40a0f2d7e4624b604dbb80d1cbc7e4c1917116adaf4d6ec39622066e6d",
     "empirical --family pow3 --n 500 --bits 2": "1dfdacd05db0afbaa8c8b2470774f6fe666ce75a0e8ba155caa42b7e7dbbec39",
@@ -55,6 +57,25 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn_peak_rss(*argv, timeout=120):
+    """Exit code and peak RSS in KiB of ``python -m benford2.cli argv``, stdout discarded."""
+    argv = [sys.executable, "-m", "benford2.cli", *argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    pid = os.posix_spawn(
+        sys.executable, argv, env, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    )
+    deadline = time.monotonic() + timeout
+    while True:
+        reaped, status, usage = os.wait4(pid, os.WNOHANG)
+        if reaped:
+            return os.waitstatus_to_exitcode(status), usage.ru_maxrss  # KiB on Linux
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.wait4(pid, 0)
+            pytest.fail(f"{' '.join(argv[3:])} did not finish in {timeout} s")
+        time.sleep(0.05)
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
@@ -137,26 +158,19 @@ class TestSolveCommand:
 
     def test_peak_rss_does_not_grow_with_output(self):
         # the rows stream out in chunks: 283 MB when they were joined first
-        argv = [sys.executable, "-m", "benford2.cli", "solve", "--k", "18", "--format", "json"]
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        pid = os.posix_spawn(
-            sys.executable, argv, env, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-        )
-        deadline = time.monotonic() + 120
-        while True:
-            reaped, status, usage = os.wait4(pid, os.WNOHANG)
-            if reaped:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.wait4(pid, 0)
-                pytest.fail("solve --k 18 --format json did not finish in 120 s")
-            time.sleep(0.05)
-        assert os.waitstatus_to_exitcode(status) == 0
-        assert usage.ru_maxrss < 128 * 1024  # KiB on Linux
+        code, peak_kib = spawn_peak_rss("solve", "--k", "18", "--format", "json")
+        assert code == 0
+        assert peak_kib < 128 * 1024
 
 
 class TestTable1Command:
+    def test_peak_rss_of_deep_table(self):
+        # three 2^22 vectors live at once in the fast solve: 189 MB with the
+        # kernel's temporaries, about 153 MB without them
+        code, peak_kib = spawn_peak_rss("table1", "--kmax", "22")
+        assert code == 0
+        assert peak_kib < 170 * 1024
+
     def test_ten_rows_match_table_values(self, capsys, table10):
         code, out, _ = run_cli(capsys, "table1", "--kmax", "10")
         assert code == 0
@@ -340,6 +354,23 @@ class TestEmpiricalCommand:
             cli.main(["empirical", "--family", "pow3", "--n", "10", "--bits", "20"])
         assert excinfo.value.code == 2
         assert time.perf_counter() - start < 1.0
+
+    def test_report_row_budget_fails_fast(self, capsys):
+        # 2^20 rows took 10.6 s and 488 MB to print for 1000 terms
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["empirical", "--family", "pow3", "--n", "1000", "--bits", "20"])
+        assert excinfo.value.code == 2
+        assert "report rows" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("bits, base, rows", [("17", "2", 1 << 17), ("10", "3", 2 * 3**10)])
+    def test_report_row_budget_edge_runs(self, capsys, bits, base, rows):
+        code, out, _ = run_cli(
+            capsys, "empirical", "--family", "pow3", "--n", "200", "--bits", bits, "--base", base
+        )
+        assert code == 0
+        assert len(out.splitlines()) == rows + 2  # header and summary line
 
 
 class TestOutPath:

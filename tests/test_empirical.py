@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from benford2.dyadic import MAX_REPORT_ROWS, DepthError
 from benford2.empirical import (
     FAMILIES,
     SequenceSpec,
@@ -151,6 +152,20 @@ class TestFrequencyReport:
     def test_first_malformed_block_named(self):
         with pytest.raises(ValueError, match="malformed block '1x'"):
             frequency_report(["10", "1x", "11", "1y", "1x"], 1, 2)
+
+    @pytest.mark.parametrize("bits, base", [(18, 2), (11, 3), (5, 10), (1 << 40, 2)])
+    def test_row_budget_checked_before_counting(self, bits, base):
+        def never_counted():
+            raise AssertionError("blocks were read")
+            yield
+
+        with pytest.raises(DepthError, match="report rows"):
+            frequency_report(never_counted(), bits, base)
+
+    @pytest.mark.parametrize("bits, base", [(17, 2), (10, 3), (4, 10)])
+    def test_row_budget_edge_fits(self, bits, base):
+        report = frequency_report(["1" + "0" * bits], bits, base)
+        assert len(report.blocks) == (base - 1) * base**bits <= MAX_REPORT_ROWS
 
     def test_powers_of_three_binary_pair(self):
         spec = SequenceSpec("pow3", count=100_000, block_bits=1, base=2)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +10,6 @@ from benford2.transition import (
     apply_fast,
     brute_force_element,
     build_dense,
-    chunk_decomposition,
-    element_from_chunks,
     matrix_element_exact,
 )
 
@@ -90,6 +87,18 @@ class TestBuildDense:
             counts = np.sum(index[:, np.newaxis] < index[np.newaxis, :], axis=0) + n
             assert np.array_equal(counts, n + index)
 
+    def test_bits_equal_one_division_per_entry(self):
+        # the 4^k quotients (1 + excess) / scale, laid out column-major
+        for k in range(1, 11):
+            n = 1 << k
+            index = np.arange(n, dtype=np.int64)
+            excess = index[np.newaxis, :] > index[:, np.newaxis]
+            scale = (n + index).astype(np.float64)
+            expected = np.asfortranarray((1.0 + excess) / scale[np.newaxis, :])
+            entries = build_dense(k)
+            assert entries.flags.f_contiguous
+            assert np.array_equal(entries, expected)
+
     def test_depth_guard(self):
         with pytest.raises(DepthError):
             build_dense(0)
@@ -143,6 +152,18 @@ class TestApply:
                 gap = np.abs(apply_fast(vector, k) - apply_dense(matrix, vector))
                 assert np.max(gap) <= 1e-12
 
+    def test_fast_bits_equal_suffix_expression(self):
+        # w = v / scale, s = reversed cumulative sum of w, product = s[0] + s - w
+        rng = np.random.default_rng(29)
+        for k in range(1, 17):
+            n = 1 << k
+            vector = rng.random(n)
+            before = vector.copy()
+            weights = vector / (n + np.arange(n, dtype=np.float64))
+            suffix = np.cumsum(weights[::-1])[::-1]
+            assert np.array_equal(apply_fast(vector, k), suffix[0] + suffix - weights)
+            assert np.array_equal(vector, before)
+
     def test_fast_length_check(self):
         with pytest.raises(ValueError):
             apply_fast(np.ones(3), 2)
@@ -183,56 +204,3 @@ class TestBruteForceElement:
         with pytest.raises(ValueError):
             brute_force_element((0, 0), (0,), 8)
 
-
-class TestChunkDecomposition:
-    def test_zero_bits_only_base_chunk(self):
-        chunks = chunk_decomposition((0, 0), 3)
-        assert chunks.sizes == (32, 0, 0)
-        assert chunks.total == 32
-
-    def test_all_ones_example(self):
-        chunks = chunk_decomposition((1, 1), 2)
-        assert chunks.sizes == (16, 8, 4)
-        assert chunks.boundaries == (0, 16, 24, 28)
-
-    def test_sizes_sum_to_scale(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            k = rng.randrange(1, 10)
-            alpha = unpack_bits(rng.randrange(1 << k), k)
-            padding = rng.randrange(1, 12)
-            chunks = chunk_decomposition(alpha, padding)
-            scale = ((1 << k) + sum(b << (k - 1 - i) for i, b in enumerate(alpha))) << padding
-            assert sum(chunks.sizes) == scale
-            assert chunks.boundaries == tuple(
-                sum(chunks.sizes[: i + 1]) for i in range(-1, k + 1)
-            )
-
-    def test_size_rule_per_bit(self):
-        alpha = (1, 0, 1)
-        chunks = chunk_decomposition(alpha, 4)
-        k = len(alpha)
-        assert chunks.sizes[0] == 1 << (4 + k)
-        for r in range(1, k + 1):
-            assert chunks.sizes[r] == alpha[r - 1] << (4 + k - r)
-
-    def test_population_fractions(self):
-        chunks = chunk_decomposition((0, 1), 2, target=(0, 0))
-        assert chunks.fractions is not None
-        assert chunks.fractions[0] == Fraction(1, 4)
-        # second bit of the scale goes above the target's second bit 0
-        assert chunks.fractions[2] == Fraction(1, 1)
-
-    def test_rebuilt_element_matches_exhaustively(self):
-        for k in range(1, 6):
-            for a in range(1 << k):
-                alpha = unpack_bits(a, k)
-                for x in range(1 << k):
-                    target = unpack_bits(x, k)
-                    assert element_from_chunks(target, alpha) == matrix_element_exact(
-                        target, alpha
-                    )
-
-    def test_target_length_mismatch(self):
-        with pytest.raises(ValueError):
-            chunk_decomposition((0, 1), 2, target=(0,))
