@@ -18,6 +18,7 @@ run to completion and be summarized.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -45,6 +46,9 @@ SUITES = ("matrix", "series", "integral", "harmonic")
 
 # Level cap keeps the harmonic loop budget near 2^26 terms.
 MAX_HARMONIC_LEVEL = 26
+# harmonic_block_sum builds its terms 2^12 at a time; a whole 2^26-term
+# array would take 512 MB
+HARMONIC_CHUNK = 1 << 12
 DEFAULT_SEED = 20260809
 
 
@@ -132,6 +136,10 @@ def harmonic_block_sum(block: Union[str, int], level: int) -> float:
     ln((V+1)/V) from above with error below 1/(V*2^level).  Terms are
     accumulated in ascending order with exact compensated summation
     (``math.fsum``), so no precision is lost to the 2^level-term loop.
+    Each term is built by numpy in chunks of ``HARMONIC_CHUNK``: the int64
+    to float64 cast rounds as ``1.0 / n`` does and the division is
+    correctly rounded, so every term, and the exact sum, is the same as
+    ``1.0 / (start + i)``.
     """
     value = as_block_value(block)
     if level < 1:
@@ -141,7 +149,12 @@ def harmonic_block_sum(block: Union[str, int], level: int) -> float:
     if (value << level).bit_length() > 62:
         raise DepthError(f"scaled block value 2^{level} * {value} exceeds the numeric range")
     start = value << level
-    return math.fsum(1.0 / (start + i) for i in range(1 << level))
+    stop = start + (1 << level)
+    chunks = (
+        (1.0 / np.arange(lo, min(lo + HARMONIC_CHUNK, stop), dtype=np.int64).astype(np.float64)).tolist()
+        for lo in range(start, stop, HARMONIC_CHUNK)
+    )
+    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def normalization_check(depth: int) -> VerificationReport:
@@ -184,10 +197,9 @@ def _check_matrix(
     mismatches = 0
     pairs = 0
     for k in range(0, kernel_depth + 1):
-        for a in range(1 << k):
-            ab = unpack_bits(a, k)
-            for x in range(1 << k):
-                xb = unpack_bits(x, k)
+        vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
+        for a, ab in enumerate(vectors):
+            for x, xb in enumerate(vectors):
                 fast = 1 if a > x else 0
                 if excess_population(ab, xb) != fast or fast not in (0, 1):
                     mismatches += 1
@@ -228,10 +240,9 @@ def _check_matrix(
     for padding in oracle_paddings:
         worst_gap = Fraction(0)
         for k in range(1, oracle_depth + 1):
-            for a in range(1 << k):
-                ab = unpack_bits(a, k)
-                for x in range(1 << k):
-                    xb = unpack_bits(x, k)
+            vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
+            for ab in vectors:
+                for xb in vectors:
                     gap = abs(brute_force_element(xb, ab, padding) - matrix_element_exact(xb, ab))
                     worst_gap = max(worst_gap, gap)
         reports.append(

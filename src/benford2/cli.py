@@ -211,6 +211,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
         with _sink(args.out) as out:
             out.write(text)
         return 0
+    empirical.check_report_rows(spec.block_bits, spec.base)  # before any block is generated
     report = empirical.frequency_report(empirical.generate_blocks(spec), args.bits, args.base)
     lines = ["block,observed_count,observed_freq,expected_freq,abs_dev"]
     lines += [

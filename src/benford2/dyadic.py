@@ -37,8 +37,8 @@ class DepthError(ValueError):
 
 def validate_bits(bits: Iterable[int], max_depth: int = MAX_VECTOR_DEPTH) -> Bits:
     """Coerce to a tuple of 0/1 ints, enforcing the depth budget."""
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(map(int, bits))
+    if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"bits must all be 0 or 1, got {out!r}")
     if len(out) > max_depth:
         raise DepthError(f"depth {len(out)} exceeds the budget of {max_depth}")

@@ -235,6 +235,24 @@ def generate_blocks(spec: SequenceSpec) -> list[str]:
     return [leading_block(v, j, base) for v in rearranged_sequence(n)]
 
 
+def check_report_rows(block_bits: int, base: int) -> None:
+    """Raise :class:`DepthError` if a report has more than ``MAX_REPORT_ROWS`` rows.
+
+    A report has one row per block of 1 + block_bits digits in ``base``.
+    """
+    if block_bits < 0:
+        raise ValueError(f"block_bits must be >= 0, got {block_bits}")
+    if not 2 <= base <= 36:
+        raise ValueError(f"base must be in [2, 36], got {base}")
+    # 2^bit_length is already over the budget, so capping the exponent
+    # there avoids a huge power
+    if (base - 1) * base ** min(block_bits, MAX_REPORT_ROWS.bit_length()) > MAX_REPORT_ROWS:
+        raise DepthError(
+            f"block_bits={block_bits} in base {base} gives more than "
+            f"{MAX_REPORT_ROWS} report rows"
+        )
+
+
 def frequency_report(blocks: Sequence[str], block_bits: int, base: int = 2) -> FrequencyReport:
     """Tabulate observed block frequencies against the reference law.
 
@@ -244,17 +262,7 @@ def frequency_report(blocks: Sequence[str], block_bits: int, base: int = 2) -> F
     ``MAX_REPORT_ROWS`` blocks raises :class:`DepthError` before any block
     is read.
     """
-    if block_bits < 0:
-        raise ValueError(f"block_bits must be >= 0, got {block_bits}")
-    if not 2 <= base <= 36:
-        raise ValueError(f"base must be in [2, 36], got {base}")
-    # one row per block of 1 + block_bits digits; 2^bit_length is already
-    # over the budget, so capping the exponent there avoids a huge power
-    if (base - 1) * base ** min(block_bits, MAX_REPORT_ROWS.bit_length()) > MAX_REPORT_ROWS:
-        raise DepthError(
-            f"block_bits={block_bits} in base {base} gives more than "
-            f"{MAX_REPORT_ROWS} report rows"
-        )
+    check_report_rows(block_bits, base)
     counted = Counter(block for block in blocks if len(block) == block_bits + 1)
     for block in counted:  # first-seen order, so the first malformed block is named
         if not _is_digit_string(block, base):

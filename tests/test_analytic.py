@@ -167,6 +167,16 @@ class TestHarmonicBlockSum:
                 assert lower <= target + 1e-12
                 assert target <= upper + 1e-12
 
+    @pytest.mark.parametrize("value", [1, 2, 3, 1000, (1 << 45) + 7])
+    def test_bits_equal_per_term_reference(self, value):
+        # levels below, at and many times HARMONIC_CHUNK; (1 << 45) + 7
+        # scales past 2^53, where a float arange would lose bits
+        top = 16 if value > 1000 else 18
+        for level in range(1, top + 1):
+            start = value << level
+            reference = math.fsum(1.0 / (start + i) for i in range(1 << level))
+            assert harmonic_block_sum(value, level) == reference, level
+
     def test_guards(self):
         with pytest.raises(ValueError):
             harmonic_block_sum("10", 0)

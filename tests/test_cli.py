@@ -50,6 +50,9 @@ PINNED_STDOUT = {
     "matrix --k 2 --format json": "ecc33d40a0f2d7e4624b604dbb80d1cbc7e4c1917116adaf4d6ec39622066e6d",
     "empirical --family pow3 --n 500 --bits 2": "1dfdacd05db0afbaa8c8b2470774f6fe666ce75a0e8ba155caa42b7e7dbbec39",
     "empirical --family rearranged --n 100": "e66802f0c078c5182153221b35c278505bb234aebebb863b64a9ab0953414063",
+    " ".join(VERIFY_QUICK): "3adfd7596a710b0ceb6358cc2584ebd0d93505302a65fdeae1fb47692559b7f9",
+    # levels below and past analytic.HARMONIC_CHUNK = 2^12 terms
+    "verify --suite harmonic --harmonic-levels 3,13,17": "2fdff1cf66c144c7b28ee78398a086c05e2d26d97ec7d6341b140eaf3471fd6e",
 }
 
 
@@ -363,6 +366,17 @@ class TestEmpiricalCommand:
         assert excinfo.value.code == 2
         assert "report rows" in capsys.readouterr().err
         assert time.perf_counter() - start < 1.0
+
+    def test_report_row_budget_checked_before_generation(self, capsys, monkeypatch):
+        # generating the blocks first took 60.8 s for fibonacci --n 200000 --bits 40
+        def never_generated(spec):
+            raise AssertionError("blocks were generated")
+
+        monkeypatch.setattr(cli.empirical, "generate_blocks", never_generated)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["empirical", "--family", "fibonacci", "--n", "200000", "--bits", "40"])
+        assert excinfo.value.code == 2
+        assert "report rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bits, base, rows", [("17", "2", 1 << 17), ("10", "3", 2 * 3**10)])
     def test_report_row_budget_edge_runs(self, capsys, bits, base, rows):

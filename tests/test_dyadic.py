@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from benford2.dyadic import (
+    MAX_VECTOR_DEPTH,
     DepthError,
     as_block_value,
     block_string,
@@ -197,3 +199,59 @@ class TestAsBlockValue:
 def test_validate_bits_accepts_iterables():
     assert validate_bits([1, 0, 1]) == (1, 0, 1)
     assert validate_bits(()) == ()
+
+
+def reference_validate_bits(bits, max_depth=MAX_VECTOR_DEPTH):
+    """validate_bits as two generator expressions, the form it replaced."""
+    out = tuple(int(b) for b in bits)
+    if any(b not in (0, 1) for b in out):
+        raise ValueError(f"bits must all be 0 or 1, got {out!r}")
+    if len(out) > max_depth:
+        raise DepthError(f"depth {len(out)} exceeds the budget of {max_depth}")
+    return out
+
+
+class TestValidateBitsParity:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [1, 0, 1],
+            lambda: (0, 0, 1, 1),
+            lambda: (),
+            lambda: (b for b in (1, 1, 0)),
+            lambda: [True, False, True],
+            lambda: [np.int64(1), np.int64(0)],
+            lambda: np.array([0, 1, 1], dtype=np.int64),
+            lambda: ["0", "1", "1"],
+            lambda: "101",
+            lambda: [1] * MAX_VECTOR_DEPTH,
+        ],
+    )
+    def test_same_tuple(self, make):
+        out = validate_bits(make())
+        assert out == reference_validate_bits(make())
+        assert all(type(b) is int for b in out)
+
+    @pytest.mark.parametrize("bits", [[1, 2], [0, -1], ["1", "2"], (2,)])
+    def test_same_value_error(self, bits):
+        with pytest.raises(ValueError) as expected:
+            reference_validate_bits(bits)
+        with pytest.raises(ValueError) as got:
+            validate_bits(bits)
+        assert type(got.value) is type(expected.value) is ValueError
+        assert str(got.value) == str(expected.value)
+
+    def test_non_numeric_string_raises_int_error(self):
+        with pytest.raises(ValueError) as expected:
+            int("x")
+        with pytest.raises(ValueError) as got:
+            validate_bits(["1", "x"])
+        assert str(got.value) == str(expected.value)
+
+    def test_over_budget_is_depth_error(self):
+        bits = [1, 0] * 12 + [1]
+        with pytest.raises(DepthError) as expected:
+            reference_validate_bits(bits)
+        with pytest.raises(DepthError) as got:
+            validate_bits(bits)
+        assert str(got.value) == str(expected.value)
