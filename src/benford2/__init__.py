@@ -31,7 +31,6 @@ from benford2.dyadic import (
     complement,
     dyadic_value,
     excess_population,
-    excess_population_fast,
     pack_bits,
     truncate,
     unpack_bits,
@@ -96,7 +95,6 @@ __all__ = [
     "dyadic_value",
     "error_decay_ratios",
     "excess_population",
-    "excess_population_fast",
     "frequency_report",
     "generate_blocks",
     "harmonic_block_sum",

@@ -201,7 +201,7 @@ def _check_matrix(
         for a, ab in enumerate(vectors):
             for x, xb in enumerate(vectors):
                 fast = 1 if a > x else 0
-                if excess_population(ab, xb) != fast or fast not in (0, 1):
+                if excess_population(ab, xb) != fast:
                     mismatches += 1
                 pairs += 1
     reports.append(
@@ -218,10 +218,9 @@ def _check_matrix(
         n = 1 << k
         if k <= 6:
             # literal rational column sums: every column adds to exactly 1
-            for a in range(n):
-                ab = unpack_bits(a, k)
-                total = sum(matrix_element_exact(unpack_bits(x, k), ab) for x in range(n))
-                if total != 1:
+            vectors = [unpack_bits(packed, k) for packed in range(n)]
+            for ab in vectors:
+                if sum(matrix_element_exact(xb, ab) for xb in vectors) != 1:
                     worst = max(worst, 1)
         # common-denominator form: numerators over column a must sum to the
         # scale-block value n + a; the excess count is a vectorized kernel pass

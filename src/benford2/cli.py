@@ -17,6 +17,7 @@ from typing import Iterator, TextIO
 from benford2 import analytic, empirical, transition
 from benford2.dyadic import MAX_DUMP_DEPTH, block_string
 from benford2.solver import (
+    BACKENDS,
     ConvergenceError,
     benford_reference,
     convergence_table,
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="bits after the leading 1")
     p.add_argument("--tolerance", type=float, default=1e-14)
     p.add_argument("--max-iterations", type=int, default=100_000)
-    p.add_argument("--backend", choices=("dense", "fast"), default="fast")
+    p.add_argument("--backend", choices=BACKENDS, default="fast")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_out(p)
     p.set_defaults(handler=_cmd_solve)
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="convergence table of the leading-pair probability")
     p.add_argument("--kmax", type=int, required=True, help="largest depth to tabulate")
     p.add_argument("--tolerance", type=float, default=1e-14)
-    p.add_argument("--backend", choices=("dense", "fast"), default="fast")
+    p.add_argument("--backend", choices=BACKENDS, default="fast")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_out(p)
     p.set_defaults(handler=_cmd_table1)

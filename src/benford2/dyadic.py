@@ -92,14 +92,6 @@ def complement(bits: Iterable[int]) -> Bits:
     return tuple(1 - b for b in validate_bits(bits))
 
 
-def _paired(alpha: Iterable[int], x: Iterable[int]) -> tuple[Bits, Bits]:
-    a = validate_bits(alpha)
-    b = validate_bits(x)
-    if len(a) != len(b):
-        raise ValueError(f"bit vectors differ in length: {len(a)} vs {len(b)}")
-    return a, b
-
-
 def excess_population(alpha: Iterable[int], x: Iterable[int]) -> int:
     """Extra population units the enhancement chunks of a scale contribute.
 
@@ -109,9 +101,14 @@ def excess_population(alpha: Iterable[int], x: Iterable[int]) -> int:
     bits match the target up to position r-1 and the target bit x_r is 0.
     Term by term that is ``a_r * [x_r = 0] * prod_{i<r} [a_i = x_i]``, and
     this function evaluates the sum literally (the prefix-match product is
-    carried along instead of being recomputed per term).
+    carried along instead of being recomputed per term).  Only a 1-over-0
+    first difference fires, so the sum is 1 exactly when alpha > x, the
+    comparison :mod:`benford2.transition` uses and ``verify`` checks.
     """
-    a, t = _paired(alpha, x)
+    a = validate_bits(alpha)
+    t = validate_bits(x)
+    if len(a) != len(t):
+        raise ValueError(f"bit vectors differ in length: {len(a)} vs {len(t)}")
     total = 0
     prefix_match = 1
     for r in range(len(t)):
@@ -119,21 +116,6 @@ def excess_population(alpha: Iterable[int], x: Iterable[int]) -> int:
         if a[r] != t[r]:
             prefix_match = 0
     return total
-
-
-def excess_population_fast(alpha: Iterable[int], x: Iterable[int]) -> int:
-    """Shortcut for :func:`excess_population`: 1 iff alpha > x dyadically.
-
-    At the first index where the two vectors differ, a term can fire only
-    for a 1-over-0 mismatch, and every later term is killed by the broken
-    prefix match; equal vectors contribute nothing.  So the sum collapses
-    to a single first-difference comparison.
-    """
-    a, t = _paired(alpha, x)
-    for hi, lo in zip(a, t):
-        if hi != lo:
-            return 1 if hi > lo else 0
-    return 0
 
 
 def as_block_value(block: Union[str, int], base: int = 2) -> int:

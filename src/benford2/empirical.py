@@ -191,21 +191,14 @@ def _product_blocks(
 
 def _fibonacci_blocks(count: int, block_digits: int, base: int) -> list[str]:
     blocks = []
-    prev = _normalize(_ONE, 0, base)  # first term, value 1
-    cur = prev  # second term, value 1
-    steps = 0
+    prev = cur = _normalize(_ONE, 0, base)  # F(1) = F(2) = 1
     for i in range(1, count + 1):
-        if i == 1:
-            mantissa, exponent = prev
-        elif i == 2:
-            mantissa, exponent = cur
-        else:
+        if i > 2:
             (pm, pe), (cm, ce) = prev, cur
-            mantissa, exponent = _normalize(cm + pm // base ** (ce - pe), ce, base)
-            prev, cur = cur, (mantissa, exponent)
-            steps += 1
+            prev, cur = cur, _normalize(cm + pm // base ** (ce - pe), ce, base)
+        mantissa, exponent = cur
         blocks.append(
-            _window_block(mantissa, exponent, steps, block_digits, base, lambda i=i: _fib(i))
+            _window_block(mantissa, exponent, max(i - 2, 0), block_digits, base, lambda i=i: _fib(i))
         )
     return blocks
 

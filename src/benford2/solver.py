@@ -166,14 +166,13 @@ def convergence_table(
     max_depth: int,
     tolerance: float = 1e-14,
     backend: str = "fast",
-    max_iterations: int = 100_000,
 ) -> list[ConvergenceRow]:
     """Leading-pair probability and its relative error, one row per depth."""
     _check_depth(max_depth, backend)
     reference = math.log2(1.5)
     rows = []
     for depth in range(1, max_depth + 1):
-        report = solve(depth, tolerance=tolerance, max_iterations=max_iterations, backend=backend)
+        report = solve(depth, tolerance=tolerance, backend=backend)
         rel_err = abs(report.p10 - reference) / reference
         rows.append(ConvergenceRow(depth=depth, p10=report.p10, reference=reference, rel_err=rel_err))
     return rows

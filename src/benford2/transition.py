@@ -6,10 +6,12 @@ starts with the block ``1 x1 ... xk`` tends, as m grows, to
 
     (1 + excess) / (2^k * (1 + a))
 
-where ``a`` is the dyadic fraction 0.a1...ak and ``excess`` is the 0/1
-indicator that the scale fraction exceeds the target fraction (see
-:mod:`benford2.dyadic`).  The denominator 2^k*(1+a) is just the integer
-value of the scale block, so every entry is an exact small rational.
+where ``a`` is the dyadic fraction 0.a1...ak and ``excess`` is 1 when the
+scale block's value exceeds the target block's and 0 otherwise, since
+blocks of one depth compare as their dyadic fractions do (``verify`` checks
+this against :func:`benford2.dyadic.excess_population`, the literal sum).
+The denominator 2^k*(1+a) is just the integer value of the scale block, so
+every entry is an exact small rational.
 
 Collected over all 2^k scale blocks these limits form a strictly positive
 column-stochastic matrix.  This module materializes it densely, applies it
@@ -30,16 +32,25 @@ from benford2.dyadic import (
     MAX_VECTOR_DEPTH,
     DepthError,
     block_value,
-    excess_population_fast,
-    validate_bits,
 )
 
 
+def _block_pair(x: Iterable[int], alpha: Iterable[int]) -> tuple[int, int]:
+    """Block values of a target and a scale, which must have one depth."""
+    target = block_value(x)
+    scale = block_value(alpha)
+    if target.bit_length() != scale.bit_length():
+        raise ValueError(
+            f"bit vectors differ in length: {target.bit_length() - 1} vs {scale.bit_length() - 1}"
+        )
+    return target, scale
+
+
 def matrix_element_exact(x: Iterable[int], alpha: Iterable[int]) -> Fraction:
-    """Exact limiting entry (1 + excess) / scale-block-value."""
-    xb = validate_bits(x)
-    ab = validate_bits(alpha)
-    return Fraction(1 + excess_population_fast(ab, xb), block_value(ab))
+    """Exact limiting entry (1 + [scale > target]) / scale of the two block
+    values; blocks of one depth compare as their dyadic fractions do."""
+    target, scale = _block_pair(x, alpha)
+    return Fraction(1 + (scale > target), scale)
 
 
 def build_dense(depth: int) -> np.ndarray:
@@ -110,18 +121,15 @@ def brute_force_element(x: Iterable[int], alpha: Iterable[int], padding: int) ->
     within 2^(1-m) of the limiting matrix element (short numbers, those
     with fewer than k+1 bits, are missing from the count).
     """
-    xb = validate_bits(x)
-    ab = validate_bits(alpha)
-    if len(xb) != len(ab):
-        raise ValueError(f"bit vectors differ in length: {len(xb)} vs {len(ab)}")
+    target, scale = _block_pair(x, alpha)
+    depth = target.bit_length() - 1
     if padding < 1:
         raise ValueError(f"padding must be >= 1, got {padding}")
-    if len(xb) + padding > MAX_COUNT_BITS:
+    if depth + padding > MAX_COUNT_BITS:
         raise DepthError(
-            f"depth+padding {len(xb) + padding} exceeds the counting budget {MAX_COUNT_BITS}"
+            f"depth+padding {depth + padding} exceeds the counting budget {MAX_COUNT_BITS}"
         )
-    target = block_value(xb)
-    limit = block_value(ab) << padding
+    limit = scale << padding
     count = 0
     shift = 0
     while (target << shift) < limit:

@@ -13,7 +13,6 @@ from benford2.dyadic import (
     complement,
     dyadic_value,
     excess_population,
-    excess_population_fast,
     pack_bits,
     truncate,
     unpack_bits,
@@ -99,19 +98,18 @@ class TestExcessPopulation:
         for k in range(0, 8):
             bits = random_bits(k)
             assert excess_population(bits, bits) == 0
-            assert excess_population_fast(bits, bits) == 0
 
     def test_hand_evaluated_examples(self):
         assert excess_population((1, 0), (0, 1)) == 1
         assert excess_population((0, 1), (0, 0)) == 1
-        assert excess_population_fast((1, 1), (0, 0)) == 1
-        assert excess_population_fast((0, 1), (1, 0)) == 0
+        assert excess_population((1, 1), (0, 0)) == 1
+        assert excess_population((0, 1), (1, 0)) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             excess_population((0, 1), (0,))
         with pytest.raises(ValueError):
-            excess_population_fast((0,), (0, 1))
+            excess_population((0,), (0, 1))
 
     def test_equivalence_exhaustive_small_depths(self):
         for k in range(0, 9):
@@ -121,7 +119,7 @@ class TestExcessPopulation:
                     target = unpack_bits(x, k)
                     value = excess_population(alpha, target)
                     assert value in (0, 1)
-                    assert value == excess_population_fast(alpha, target)
+                    assert value == int(alpha > target)
 
     def test_equivalence_random_large_depths(self):
         rng = random.Random(99)
@@ -132,7 +130,7 @@ class TestExcessPopulation:
                 target = random_bits(k, rng)
                 value = excess_population(alpha, target)
                 assert value in (0, 1)
-                assert value == excess_population_fast(alpha, target)
+                assert value == int(alpha > target)
 
     def test_excess_implies_strictly_larger_fraction(self):
         rng = random.Random(7)

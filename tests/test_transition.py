@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import DEPTH2_PRINTED
 
+from benford2 import dyadic, transition
 from benford2.dyadic import DepthError, unpack_bits
 from benford2.transition import (
     apply_dense,
@@ -204,3 +205,19 @@ class TestBruteForceElement:
         with pytest.raises(ValueError):
             brute_force_element((0, 0), (0,), 8)
 
+
+def test_each_argument_validated_once(monkeypatch):
+    validate = dyadic.validate_bits
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(dyadic, "validate_bits", counting)
+    monkeypatch.setattr(transition, "validate_bits", counting, raising=False)
+    matrix_element_exact((0, 1), (1, 0))
+    assert len(calls) == 2
+    calls.clear()
+    brute_force_element((0, 1), (1, 0), 8)
+    assert len(calls) == 2
