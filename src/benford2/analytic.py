@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
+from benford2._lazy import lazy_import
 from benford2.dyadic import (
     MAX_COUNT_BITS,
     MAX_DUMP_DEPTH,
@@ -41,6 +40,8 @@ from benford2.dyadic import (
     validate_bits,
 )
 from benford2.transition import brute_force_element, matrix_element_exact
+
+np = lazy_import("numpy")
 
 SUITES = ("matrix", "series", "integral", "harmonic")
 

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-import numpy as np
-
+from benford2._lazy import lazy_import
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_VECTOR_DEPTH,
@@ -28,6 +27,8 @@ from benford2.dyadic import (
     as_block_value,
 )
 from benford2.transition import apply_dense, apply_fast, build_dense
+
+np = lazy_import("numpy")
 
 BACKENDS = ("dense", "fast")
 

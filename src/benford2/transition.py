@@ -24,8 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
+from benford2._lazy import lazy_import
 from benford2.dyadic import (
     MAX_COUNT_BITS,
     MAX_DENSE_DEPTH,
@@ -33,6 +32,8 @@ from benford2.dyadic import (
     DepthError,
     block_value,
 )
+
+np = lazy_import("numpy")
 
 
 def _block_pair(x: Iterable[int], alpha: Iterable[int]) -> tuple[int, int]:

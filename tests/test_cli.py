@@ -37,6 +37,7 @@ VERIFY_QUICK = [
 
 # sha256 of stdout for small commands: any change to a printed byte shows here
 PINNED_STDOUT = {
+    "solve --k 3": "c8feeb13bdd0a2e3b3e34ea891aecc49937a8b892f50eb95e67406e0355a5aa4",
     "solve --k 4": "c8683e58fb2aa7f30816a08b16b310755050a4864f6f046a469ebc3e0d5ef6f2",
     "solve --k 4 --format json": "e177a08f172d25ea9c26c8a3dbd3cca852e2366914b5a5b51420097f6079014c",
     # 2^17 rows: two chunks of cli.CHUNK_BITS = 16
@@ -377,6 +378,28 @@ class TestEmpiricalCommand:
             cli.main(["empirical", "--family", "fibonacci", "--n", "200000", "--bits", "40"])
         assert excinfo.value.code == 2
         assert "report rows" in capsys.readouterr().err
+
+    def test_never_loads_numpy(self):
+        # numpy's own package is registered lazily; numpy._core appears only once it runs
+        script = """
+import contextlib, hashlib, io, sys
+import benford2
+from benford2 import cli
+assert "numpy._core" not in sys.modules, "import benford2 loaded numpy"
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["empirical", "--family", "pow3", "--n", "200", "--bits", "2"])
+assert code == 0 and "numpy._core" not in sys.modules, "empirical loaded numpy"
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["solve", "--k", "3"])
+print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.stderr == ""
+        assert result.stdout == f"0 {PINNED_STDOUT['solve --k 3']}\n"
 
     @pytest.mark.parametrize("bits, base, rows", [("17", "2", 1 << 17), ("10", "3", 2 * 3**10)])
     def test_report_row_budget_edge_runs(self, capsys, bits, base, rows):

@@ -1,14 +1,18 @@
+import itertools
 import math
+import operator
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benford2.dyadic import MAX_REPORT_ROWS, DepthError
 from benford2.empirical import (
     FAMILIES,
     SequenceSpec,
-    _fib,
+    _digit_string,
     frequency_report,
     generate_blocks,
     leading_block,
@@ -16,6 +20,42 @@ from benford2.empirical import (
     rearrangement_demo,
 )
 from benford2.solver import benford_reference
+
+WINDOW_TERMS = 3000
+
+
+def exact_terms(family: str, count: int) -> list[int]:
+    """First ``count`` terms of a family as exact integers, by running products and sums."""
+    if family == "fibonacci":
+        terms, pair = [], (1, 1)
+        for _ in range(count):
+            terms.append(pair[0])
+            pair = (pair[1], pair[0] + pair[1])
+        return terms
+    factors = itertools.repeat(3, count) if family == "pow3" else range(1, count + 1)
+    return list(itertools.accumulate(factors, operator.mul))
+
+
+def reference_digit_string(value: int, base: int) -> str:
+    """Digits of ``value`` in ``base`` by repeated division, the formatting oracle."""
+    if value == 0:
+        return "0"
+    out = []
+    while value:
+        value, digit = divmod(value, base)
+        out.append("0123456789abcdefghijklmnopqrstuvwxyz"[digit])
+    return "".join(reversed(out))
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+def test_digit_string_matches_division(base):
+    for value in (0, 1, base - 1, base, base**2 - 1, 3**200, math.factorial(100)):
+        assert _digit_string(value, base) == reference_digit_string(value, base)
+
+
+def test_digit_string_past_decimal_conversion_limit():
+    value = 10**5000 - 1  # more digits than the interpreter's default str() limit
+    assert _digit_string(value, 10) == "9" * 5000
 
 
 class TestLeadingBlock:
@@ -76,15 +116,20 @@ class TestGenerateBlocks:
     @pytest.mark.parametrize("base", [2, 10])
     @pytest.mark.parametrize("block_bits", [0, 4, 8])
     def test_window_agrees_with_exact_big_integers(self, family, base, block_bits):
-        spec = SequenceSpec(family, count=200, block_bits=block_bits, base=base)
-        windowed = generate_blocks(spec)
-        exact_terms = {
-            "pow3": lambda i: 3**i,
-            "factorial": math.factorial,
-            "fibonacci": _fib,
-        }[family]
-        expected = [leading_block(exact_terms(i), block_bits, base) for i in range(1, 201)]
-        assert windowed == expected
+        spec = SequenceSpec(family, count=WINDOW_TERMS, block_bits=block_bits, base=base)
+        expected = [leading_block(v, block_bits, base) for v in exact_terms(family, WINDOW_TERMS)]
+        assert generate_blocks(spec) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        family=st.sampled_from(["pow3", "fibonacci", "factorial"]),
+        base=st.integers(2, 36),
+        block_bits=st.integers(0, 8),
+    )
+    def test_window_agrees_with_exact_any_base(self, family, base, block_bits):
+        spec = SequenceSpec(family, count=WINDOW_TERMS, block_bits=block_bits, base=base)
+        expected = [leading_block(v, block_bits, base) for v in exact_terms(family, WINDOW_TERMS)]
+        assert generate_blocks(spec) == expected
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
