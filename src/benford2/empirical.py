@@ -32,7 +32,6 @@ FAMILIES = ("pow3", "fibonacci", "factorial", "rearranged")
 _FRACTION_BITS = 64
 _ONE = 1 << _FRACTION_BITS
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-_FORMAT_SPECS = {2: "b", 8: "o", 10: "d", 16: "x"}  # bases C formatting writes in _DIGITS
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,8 @@ class FrequencyReport:
 
 
 def _digit_string(value: int, base: int) -> str:
-    spec = _FORMAT_SPECS.get(base)
-    if spec is not None:
-        try:
-            return format(value, spec)
-        except ValueError:  # decimal past sys.get_int_max_str_digits(); the loop has no limit
-            pass
+    if base == 2:
+        return format(value, "b")
     if value == 0:
         return "0"
     out = []
