@@ -4,10 +4,12 @@ Families that grow without bound (powers of 3, factorials, Fibonacci) are
 tracked by a significand/exponent window instead of full big integers: the
 significand is a 64-fraction-bit fixed-point number kept in [1, base), and
 each step multiplies or adds, then renormalizes.  Leading blocks need only
-the top digits of the significand, and the per-step truncation (one unit
-in the last place) cannot move a block across a boundary unless the
-significand already sits within ~2^-50 of one; in that rare case the term
-is recomputed from the exact integer.  Observed block frequencies are then
+the top digits of the significand.  Every step rounds down, so the window
+never exceeds the true term and trails it by less than a guard (~2^-50
+plus the per-step drift): a term's block differs from the window's only
+if the significand sits within the guard below the next block boundary,
+and only then is the term recomputed from the exact integer.  Blocks are
+counted as integer values, named as digit strings only in the report, and
 compared against the reference law log_base(1 + 1/block).
 
 The rearrangement demonstration shows why these frequencies are a property
@@ -22,7 +24,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from benford2.dyadic import MAX_REPORT_ROWS, DepthError
 from benford2.solver import benford_reference
@@ -75,8 +77,6 @@ class FrequencyReport:
 
 
 def _digit_string(value: int, base: int) -> str:
-    if base == 2:
-        return format(value, "b")
     if value == 0:
         return "0"
     out = []
@@ -84,15 +84,6 @@ def _digit_string(value: int, base: int) -> str:
         value, digit = divmod(value, base)
         out.append(_DIGITS[digit])
     return "".join(reversed(out))
-
-
-def _is_digit_string(block: str, base: int) -> bool:
-    """True iff ``block`` is how :func:`_digit_string` writes a positive value."""
-    try:
-        value = int(block, base)
-    except ValueError:
-        return False
-    return value > 0 and _digit_string(value, base) == block
 
 
 def _digit_count(value: int, base: int) -> int:
@@ -111,8 +102,8 @@ def _digit_count(value: int, base: int) -> int:
     return estimate + 1
 
 
-def leading_block(value: int, block_digits: int, base: int = 2) -> str:
-    """First 1 + block_digits significant digits of ``value`` in ``base``.
+def leading_block(value: int, block_digits: int, base: int = 2) -> int:
+    """Value of the first 1 + block_digits significant digits of ``value`` in ``base``.
 
     Values with fewer digits come back whole (clipped), not padded; scaling
     by any power of the base leaves the result unchanged.
@@ -125,7 +116,7 @@ def leading_block(value: int, block_digits: int, base: int = 2) -> str:
         raise ValueError(f"base must be in [2, 36], got {base}")
     total = _digit_count(value, base)
     keep = min(block_digits + 1, total)
-    return _digit_string(value // base ** (total - keep), base)
+    return value // base ** (total - keep)
 
 
 def _normalize(mantissa: int, exponent: int, base: int) -> tuple[int, int]:
@@ -136,27 +127,21 @@ def _normalize(mantissa: int, exponent: int, base: int) -> tuple[int, int]:
     return mantissa, exponent
 
 
-def _window_block(
-    mantissa: int,
-    exponent: int,
-    steps: int,
-    block_digits: int,
-    base: int,
-    exact: Callable[[], int],
-) -> str:
-    """Leading block from the window, with an exact-integer escape hatch.
+def _window_block(mantissa: int, exponent: int, steps: int, block_digits: int, base: int) -> int:
+    """Leading block value from the window, or 0 when only the exact term can tell.
 
-    The guard widens with the step count so accumulated truncation drift
-    can never silently carry the scaled significand across a boundary.
+    The window never exceeds the true term (every step rounds down) and
+    trails it by less than the guard, which widens with the step count.  So
+    only a significand within the guard below the next block boundary can
+    belong to a term past it; one on or just above a boundary cannot.
     """
     if exponent < block_digits:  # fewer digits than requested: term is small
-        return _digit_string(exact(), base)
+        return 0
     scaled = mantissa * base**block_digits
-    fraction = scaled & (_ONE - 1)
     guard = (scaled >> 50) + ((steps * scaled) >> 62) + 1
-    if fraction < guard or _ONE - fraction < guard:
-        return leading_block(exact(), block_digits, base)
-    return _digit_string(scaled >> _FRACTION_BITS, base)
+    if _ONE - (scaled & (_ONE - 1)) < guard:
+        return 0
+    return scaled >> _FRACTION_BITS
 
 
 def _fib(n: int) -> int:
@@ -177,21 +162,21 @@ def _product_blocks(
     count: int,
     block_digits: int,
     base: int,
-    first: int,
     factor: Callable[[int], int],
     exact: Callable[[int], int],
-) -> list[str]:
-    mantissa, exponent = _normalize(first * _ONE, 0, base)
-    blocks = [_window_block(mantissa, exponent, 0, block_digits, base, lambda: exact(1))]
-    for i in range(2, count + 1):
+) -> list[int]:
+    blocks = []
+    mantissa, exponent = _ONE, 0
+    for i in range(1, count + 1):
         mantissa, exponent = _normalize(mantissa * factor(i), exponent, base)
         blocks.append(
-            _window_block(mantissa, exponent, i - 1, block_digits, base, lambda i=i: exact(i))
+            _window_block(mantissa, exponent, i - 1, block_digits, base)
+            or leading_block(exact(i), block_digits, base)
         )
     return blocks
 
 
-def _fibonacci_blocks(count: int, block_digits: int, base: int) -> list[str]:
+def _fibonacci_blocks(count: int, block_digits: int, base: int) -> list[int]:
     blocks = []
     prev = cur = _normalize(_ONE, 0, base)  # F(1) = F(2) = 1
     for i in range(1, count + 1):
@@ -200,7 +185,8 @@ def _fibonacci_blocks(count: int, block_digits: int, base: int) -> list[str]:
             prev, cur = cur, _normalize(cm + pm // base ** (ce - pe), ce, base)
         mantissa, exponent = cur
         blocks.append(
-            _window_block(mantissa, exponent, max(i - 2, 0), block_digits, base, lambda i=i: _fib(i))
+            _window_block(mantissa, exponent, max(i - 2, 0), block_digits, base)
+            or leading_block(_fib(i), block_digits, base)
         )
     return blocks
 
@@ -218,13 +204,13 @@ def rearranged_sequence(count: int) -> list[int]:
     return [next(multiples) if i % 2 else next(non_multiples) for i in range(count)]
 
 
-def generate_blocks(spec: SequenceSpec) -> list[str]:
+def generate_blocks(spec: SequenceSpec) -> list[int]:
     """Leading blocks of the first ``spec.count`` terms of the family."""
     j, base, n = spec.block_bits, spec.base, spec.count
     if spec.family == "pow3":
-        return _product_blocks(n, j, base, 3, lambda i: 3, lambda i: 3**i)
+        return _product_blocks(n, j, base, lambda i: 3, lambda i: 3**i)
     if spec.family == "factorial":
-        return _product_blocks(n, j, base, 1, lambda i: i, math.factorial)
+        return _product_blocks(n, j, base, lambda i: i, math.factorial)
     if spec.family == "fibonacci":
         return _fibonacci_blocks(n, j, base)
     return [leading_block(v, j, base) for v in rearranged_sequence(n)]
@@ -248,26 +234,28 @@ def check_report_rows(block_bits: int, base: int) -> None:
         )
 
 
-def frequency_report(blocks: Sequence[str], block_bits: int, base: int = 2) -> FrequencyReport:
-    """Tabulate observed block frequencies against the reference law.
+def frequency_report(blocks: Iterable[int], block_bits: int, base: int = 2) -> FrequencyReport:
+    """Tabulate observed block values against the reference law.
 
-    Blocks shorter than 1 + block_bits digits (clipped small terms) are
-    excluded from the counts.  The expected column telescopes to total
-    probability 1 across the full block range.  A range of more than
-    ``MAX_REPORT_ROWS`` blocks raises :class:`DepthError` before any block
-    is read.
+    Values outside [base^block_bits, base^(block_bits + 1)), such as
+    clipped small terms, are not blocks of 1 + block_bits digits and are
+    excluded from the counts; the first distinct block that is not an
+    ``int`` raises :class:`TypeError`.
+    The expected column telescopes to total probability 1 across the full
+    block range.  A range of more than ``MAX_REPORT_ROWS`` blocks raises
+    :class:`DepthError` before any block is read.
     """
     check_report_rows(block_bits, base)
-    counted = Counter(block for block in blocks if len(block) == block_bits + 1)
-    for block in counted:  # first-seen order, so the first malformed block is named
-        if not _is_digit_string(block, base):
-            raise ValueError(f"malformed block {block!r} for base {base}")
-    total = sum(counted.values())
+    counted = Counter(blocks)
+    for block in counted:  # first-seen order, so the first bad block is named
+        if not isinstance(block, int):
+            raise TypeError(f"block {block!r} is not an int")
+    values = range(base**block_bits, base ** (block_bits + 1))
+    counts = tuple(counted[v] for v in values)
+    total = sum(counts)
     if total == 0:
         raise ValueError("no blocks of full depth to count")
-    values = range(base**block_bits, base ** (block_bits + 1))
     names = tuple(_digit_string(v, base) for v in values)
-    counts = tuple(counted.get(name, 0) for name in names)
     observed = tuple(c / total for c in counts)
     expected = tuple(benford_reference(v, base) for v in values)
     chi_square = sum((c - total * p) ** 2 / (total * p) for c, p in zip(counts, expected))

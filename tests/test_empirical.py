@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benford2 import empirical
 from benford2.dyadic import MAX_REPORT_ROWS, DepthError
 from benford2.empirical import (
+    _ONE,
     FAMILIES,
     SequenceSpec,
     _digit_string,
+    _normalize,
+    _window_block,
     frequency_report,
     generate_blocks,
     leading_block,
@@ -61,19 +65,19 @@ def test_digit_string_past_decimal_conversion_limit():
 class TestLeadingBlock:
     def test_binary_of_1000(self):
         # 1000 = 0b1111101000
-        assert leading_block(1000, 1, 2) == "11"
-        assert leading_block(1000, 4, 2) == "11111"
+        assert leading_block(1000, 1, 2) == 0b11
+        assert leading_block(1000, 4, 2) == 0b11111
 
     def test_decimal_leading_digit(self):
-        assert leading_block(200, 0, 10) == "2"
+        assert leading_block(200, 0, 10) == 2
 
     def test_powers_of_two(self):
         for m in (0, 3, 17):
-            assert leading_block(2**m, 4, 2) == "1" + "0" * min(4, m)
+            assert leading_block(2**m, 4, 2) == 2 ** min(4, m)
 
     def test_clipping_short_values(self):
-        assert leading_block(1, 1, 2) == "1"
-        assert leading_block(5, 4, 2) == "101"
+        assert leading_block(1, 1, 2) == 1
+        assert leading_block(5, 4, 2) == 0b101
 
     def test_scale_free(self):
         rng = random.Random(64)
@@ -96,16 +100,16 @@ class TestGenerateBlocks:
     def test_powers_of_three_golden(self):
         # 3, 9, 27, 81, 243 = 11, 1001, 11011, 1010001, 11110011
         spec = SequenceSpec("pow3", count=5, block_bits=1, base=2)
-        assert generate_blocks(spec) == ["11", "10", "11", "10", "11"]
+        assert generate_blocks(spec) == [0b11, 0b10, 0b11, 0b10, 0b11]
 
     def test_fibonacci_golden_with_clipping(self):
         spec = SequenceSpec("fibonacci", count=3, block_bits=1, base=2)
-        assert generate_blocks(spec) == ["1", "1", "10"]
+        assert generate_blocks(spec) == [1, 1, 0b10]
 
     def test_factorial_golden(self):
         # 1, 2, 6, 24 = 1, 10, 110, 11000
         spec = SequenceSpec("factorial", count=4, block_bits=1, base=2)
-        assert generate_blocks(spec) == ["1", "10", "11", "11"]
+        assert generate_blocks(spec) == [1, 0b10, 0b11, 0b11]
 
     def test_rearranged_blocks(self):
         spec = SequenceSpec("rearranged", count=8, block_bits=1, base=2)
@@ -131,6 +135,20 @@ class TestGenerateBlocks:
         expected = [leading_block(v, block_bits, base) for v in exact_terms(family, WINDOW_TERMS)]
         assert generate_blocks(spec) == expected
 
+    @pytest.mark.parametrize("base", [3, 9])
+    def test_exact_window_needs_no_fallback(self, base, monkeypatch):
+        # pow3's window is exact in these bases: only terms too short for a block need 3**i
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return leading_block(*args)
+
+        monkeypatch.setattr(empirical, "leading_block", counting)
+        generate_blocks(SequenceSpec("pow3", count=20_000, block_bits=3, base=base))
+        small_terms = sum(1 for i in range(1, 20) if 3**i < base**3)  # fewer than 4 digits
+        assert len(calls) == small_terms
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SequenceSpec("collatz", count=5)
@@ -145,9 +163,42 @@ class TestGenerateBlocks:
         assert FAMILIES == ("pow3", "fibonacci", "factorial", "rearranged")
 
 
+class TestWindow:
+    def test_normalize_rounds_down(self):
+        # the one-sided guard rests on this: the window never exceeds the true term
+        rng = random.Random(131)
+        for _ in range(2000):
+            base = rng.randrange(2, 37)
+            mantissa = rng.randrange(1, _ONE * base ** rng.randrange(1, 40))
+            exponent = rng.randrange(0, 100)
+            normalized, new_exponent = _normalize(mantissa, exponent, base)
+            shift = new_exponent - exponent
+            assert _ONE <= normalized < base * _ONE or shift == 0
+            assert normalized * base**shift <= mantissa < (normalized + 1) * base**shift
+
+    @pytest.mark.parametrize("steps", [0, 1000])
+    def test_block_on_boundary_is_kept(self, steps):
+        # 1.5 in base 2, two digits: scaled significand 3 * _ONE, on the boundary of block 0b11
+        assert _window_block(3 * _ONE // 2, 5, steps, 1, 2) == 0b11
+        assert _window_block(3 * _ONE // 2 + 1, 5, steps, 1, 2) == 0b11
+        assert _window_block(2 * _ONE, 5, steps, 0, 10) == 2
+        # the guard here is under 2^16, so this is clear of the boundary above
+        assert _window_block(3 * _ONE - (1 << 20), 5, steps, 0, 10) == 2
+
+    @pytest.mark.parametrize("steps", [0, 1000])
+    def test_block_within_guard_of_next_boundary_falls_back(self, steps):
+        assert _window_block(2 * _ONE - 1, 5, steps, 1, 2) == 0
+        assert _window_block(3 * _ONE - 1, 5, steps, 0, 10) == 0
+        # the guard is at least scaled >> 50, which is 3 << 14 here
+        assert _window_block(3 * _ONE - (1 << 15), 5, steps, 0, 10) == 0
+
+    def test_small_term_falls_back(self):
+        assert _window_block(3 * _ONE // 2, 0, 0, 1, 2) == 0
+
+
 class TestFrequencyReport:
     def test_degenerate_input(self):
-        report = frequency_report(["10"] * 10, 1, 2)
+        report = frequency_report([0b10] * 10, 1, 2)
         assert report.observed == (1.0, 0.0)
         assert report.max_deviation == pytest.approx(1 - 0.5849625007211562)
         assert report.total == 10
@@ -155,48 +206,48 @@ class TestFrequencyReport:
 
     def test_expected_column_sums_to_one(self):
         for base, bits in [(2, 1), (2, 6), (10, 0), (10, 1), (3, 2)]:
-            report = frequency_report(["1" + "0" * bits], bits, base)
+            report = frequency_report([base**bits], bits, base)
             assert abs(sum(report.expected) - 1.0) <= 1e-12
 
     def test_chi_square_hand_computed(self):
-        blocks = ["10"] * 6 + ["11"] * 4
+        blocks = [0b10] * 6 + [0b11] * 4
         report = frequency_report(blocks, 1, 2)
         p10, p11 = benford_reference(2), benford_reference(3)
         expected = (6 - 10 * p10) ** 2 / (10 * p10) + (4 - 10 * p11) ** 2 / (10 * p11)
         assert report.chi_square == pytest.approx(expected, rel=1e-12)
 
     def test_clipped_blocks_excluded(self):
-        report = frequency_report(["1", "1", "10"], 1, 2)
+        report = frequency_report([1, 1, 0b10, 0b100], 1, 2)
         assert report.total == 1
         assert report.counts == (1, 0)
 
     def test_empty_after_clipping(self):
         with pytest.raises(ValueError):
-            frequency_report(["1", "1"], 1, 2)
+            frequency_report([1, 1], 1, 2)
 
     def test_malformed_block(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="'02'"):
             frequency_report(["02"], 1, 2)
 
     @pytest.mark.parametrize(
         "blocks, bits, base",
         [
-            (["10", "-1"], 1, 2),
-            (["10", "+1"], 1, 2),
-            (["10", " 1"], 1, 2),
-            (["10", "12"], 1, 2),
-            (["100", "1_0"], 2, 2),
-            (["1a", "1A"], 1, 16),
+            ([0b10, "11"], 1, 2),
+            ([0b10, 3.0], 1, 2),
+            ([0b10, b"11"], 1, 2),
+            ([0b10, (1, 1)], 1, 2),
+            ([0b100, None], 2, 2),
+            ([0x1A, "1a"], 1, 16),
         ],
     )
     def test_malformed_block_named(self, blocks, bits, base):
-        # int() accepts some of these; only the canonical digit string counts
-        with pytest.raises(ValueError, match=re.escape(f"malformed block {blocks[1]!r}")):
+        # digit strings, floats and bit tuples are not block values
+        with pytest.raises(TypeError, match=re.escape(f"block {blocks[1]!r} is not an int")):
             frequency_report(blocks, bits, base)
 
     def test_first_malformed_block_named(self):
-        with pytest.raises(ValueError, match="malformed block '1x'"):
-            frequency_report(["10", "1x", "11", "1y", "1x"], 1, 2)
+        with pytest.raises(TypeError, match="block '1x'"):
+            frequency_report([0b10, "1x", 0b11, "1y", "1x"], 1, 2)
 
     @pytest.mark.parametrize("bits, base", [(18, 2), (11, 3), (5, 10), (1 << 40, 2)])
     def test_row_budget_checked_before_counting(self, bits, base):
@@ -209,7 +260,7 @@ class TestFrequencyReport:
 
     @pytest.mark.parametrize("bits, base", [(17, 2), (10, 3), (4, 10)])
     def test_row_budget_edge_fits(self, bits, base):
-        report = frequency_report(["1" + "0" * bits], bits, base)
+        report = frequency_report([base**bits], bits, base)
         assert len(report.blocks) == (base - 1) * base**bits <= MAX_REPORT_ROWS
 
     def test_powers_of_three_binary_pair(self):
@@ -226,7 +277,7 @@ class TestFrequencyReport:
         assert abs(report.observed[0] - 0.301) <= 0.01
 
     def test_rows_iteration(self):
-        report = frequency_report(["10", "11", "10"], 1, 2)
+        report = frequency_report([0b10, 0b11, 0b10], 1, 2)
         rows = list(report.rows())
         assert [r[0] for r in rows] == ["10", "11"]
         assert [r[1] for r in rows] == [2, 1]
