@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve(args.k, tolerance=args.tolerance, max_iterations=args.max_iterations, backend=args.backend)
-    reference = benford_reference("10", 2)
+    reference = benford_reference(0b10, 2)
     # the JSON header and the CSV footer; str() of a Python float is its repr
     summary = {
         "k": report.depth,

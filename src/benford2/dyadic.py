@@ -2,10 +2,13 @@
 
 Every positive integer written in base 2 starts with a 1, so a leading
 block of 1+k significant digits is fully described by the k bits after the
-first one.  Bits are stored most-significant-first as a tuple of 0/1 ints.
-Packing the bits of such a tuple into a plain integer preserves dyadic
-order (0.b1b2...bk as a fraction), which lets the vector and matrix layers
-index 2^k-sized arrays with ordinary integer comparisons and suffix scans.
+first one, or by its value V in [2^k, 2^(k+1)): every block argument is
+that value, checked by :func:`as_block_value`.  V - 2^k packs the bits, so
+integer order is dyadic order (0.b1b2...bk as a fraction), which lets the
+vector and matrix layers index 2^k-sized arrays with ordinary integer
+comparisons and suffix scans.  Bits, most-significant-first as a tuple of
+0/1 ints, remain where an identity is stated bit by bit: the excess sum and
+truncations here, and the Riemann sums and series terms of ``analytic``.
 
 All values derived from bits are exact: integers for block values,
 ``fractions.Fraction`` for dyadic fractions and truncations.  Floating
@@ -15,7 +18,7 @@ point enters only at module boundaries that need it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 Bits = tuple[int, ...]
 
@@ -118,18 +121,11 @@ def excess_population(alpha: Iterable[int], x: Iterable[int]) -> int:
     return total
 
 
-def as_block_value(block: Union[str, int], base: int = 2) -> int:
-    """Coerce a block given as a digit string or as its value.
-
-    Strings are read as digits in ``base`` (leading digit nonzero); plain
-    integers are taken as the block value itself.
-    """
-    if isinstance(block, str):
-        if not block or block[0] == "0":
-            raise ValueError(f"block digits must not start with 0: {block!r}")
-        value = int(block, base)
-    else:
-        value = int(block)
-    if value < 1:
-        raise ValueError(f"block value must be >= 1, got {value}")
-    return value
+def as_block_value(block: int) -> int:
+    """Check a block given as its value, such as ``0b101``: a non-``int``
+    raises :class:`TypeError` and a value below 1 :class:`ValueError`."""
+    if not isinstance(block, int):
+        raise TypeError(f"block {block!r} is not an int")
+    if block < 1:
+        raise ValueError(f"block value must be >= 1, got {block}")
+    return block

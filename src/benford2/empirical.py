@@ -239,17 +239,18 @@ def frequency_report(blocks: Iterable[int], block_bits: int, base: int = 2) -> F
 
     Values outside [base^block_bits, base^(block_bits + 1)), such as
     clipped small terms, are not blocks of 1 + block_bits digits and are
-    excluded from the counts; the first distinct block that is not an
-    ``int`` raises :class:`TypeError`.
+    excluded from the counts; the first block, in input order, that is not
+    an ``int`` raises :class:`TypeError`.
     The expected column telescopes to total probability 1 across the full
     block range.  A range of more than ``MAX_REPORT_ROWS`` blocks raises
     :class:`DepthError` before any block is read.
     """
     check_report_rows(block_bits, base)
-    counted = Counter(blocks)
-    for block in counted:  # first-seen order, so the first bad block is named
+    blocks = blocks if isinstance(blocks, list) else list(blocks)  # read twice
+    for block in blocks:  # every block: Counter would merge 2.0 into 2
         if not isinstance(block, int):
             raise TypeError(f"block {block!r} is not an int")
+    counted = Counter(blocks)
     values = range(base**block_bits, base ** (block_bits + 1))
     counts = tuple(counted[v] for v in values)
     total = sum(counts)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from benford2._lazy import lazy_import
 from benford2.dyadic import (
@@ -143,12 +143,11 @@ def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:
     return v.reshape(1 << prefix_bits, -1).sum(axis=1)
 
 
-def benford_reference(block: Union[str, int], base: int = 2) -> float:
+def benford_reference(block: int, base: int = 2) -> float:
     """Reference probability log_base(1 + 1/value) of a leading block."""
     if int(base) != base or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base}")
-    value = as_block_value(block, base=int(base))
-    return math.log1p(1.0 / value) / math.log(base)
+    return math.log1p(1.0 / as_block_value(block)) / math.log(base)
 
 
 def benford_block_probabilities(depth: int) -> np.ndarray:

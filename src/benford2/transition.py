@@ -16,13 +16,14 @@ every entry is an exact small rational.
 Collected over all 2^k scale blocks these limits form a strictly positive
 column-stochastic matrix.  This module materializes it densely, applies it
 matrix-free in O(2^k) via a suffix scan, and checks it against an exact
-integer-counting oracle evaluated at finite scales.
+integer-counting oracle evaluated at finite scales.  The entry and the
+oracle take blocks as values, since only their order and the scale enter;
+bits remain in the excess sum, which is stated bit by bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from benford2._lazy import lazy_import
 from benford2.dyadic import (
@@ -30,27 +31,25 @@ from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_VECTOR_DEPTH,
     DepthError,
-    block_value,
+    as_block_value,
 )
 
 np = lazy_import("numpy")
 
 
-def _block_pair(x: Iterable[int], alpha: Iterable[int]) -> tuple[int, int]:
-    """Block values of a target and a scale, which must have one depth."""
-    target = block_value(x)
-    scale = block_value(alpha)
-    if target.bit_length() != scale.bit_length():
-        raise ValueError(
-            f"bit vectors differ in length: {target.bit_length() - 1} vs {scale.bit_length() - 1}"
-        )
-    return target, scale
+def _block_pair(target: int, scale: int) -> int:
+    """Depth of a target and a scale block value, which must share it."""
+    depth = as_block_value(target).bit_length() - 1
+    if as_block_value(scale).bit_length() - 1 != depth:
+        raise ValueError(f"blocks differ in depth: {target} vs {scale}")
+    if depth > MAX_VECTOR_DEPTH:
+        raise DepthError(f"depth {depth} exceeds the budget of {MAX_VECTOR_DEPTH}")
+    return depth
 
 
-def matrix_element_exact(x: Iterable[int], alpha: Iterable[int]) -> Fraction:
-    """Exact limiting entry (1 + [scale > target]) / scale of the two block
-    values; blocks of one depth compare as their dyadic fractions do."""
-    target, scale = _block_pair(x, alpha)
+def matrix_element_exact(target: int, scale: int) -> Fraction:
+    """Exact limiting entry (1 + [scale > target]) / scale of two block values."""
+    _block_pair(target, scale)
     return Fraction(1 + (scale > target), scale)
 
 
@@ -111,19 +110,18 @@ def apply_fast(vector: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def brute_force_element(x: Iterable[int], alpha: Iterable[int], padding: int) -> Fraction:
+def brute_force_element(target: int, scale: int, padding: int) -> Fraction:
     """Exact population fraction of a target block at a finite scale.
 
-    Counts the integers in [0, A * 2^padding), A the scale-block value,
-    whose binary expansion starts with the target block.  The numbers with
-    a fixed bit length j that start with a given (k+1)-bit block form one
-    aligned interval, so the count walks bit lengths and clamps the top
-    interval; no per-integer loop is ever run.  At padding m the result is
+    Counts the integers in [0, scale * 2^padding) whose binary expansion
+    starts with the target block.  The numbers with a fixed bit length j
+    that start with a given (k+1)-bit block form one aligned interval, so
+    the count walks bit lengths and clamps the top interval; no
+    per-integer loop is ever run.  At padding m the result is
     within 2^(1-m) of the limiting matrix element (short numbers, those
     with fewer than k+1 bits, are missing from the count).
     """
-    target, scale = _block_pair(x, alpha)
-    depth = target.bit_length() - 1
+    depth = _block_pair(target, scale)
     if padding < 1:
         raise ValueError(f"padding must be >= 1, got {padding}")
     if depth + padding > MAX_COUNT_BITS:

@@ -125,11 +125,11 @@ def test_criterion_2_exact_small_cases():
 def test_criterion_3_benford_reference():
     checks = [
         (
-            abs(benford_reference("10", 2) - BENFORD_P10) <= 1e-7,
+            abs(benford_reference(0b10, 2) - BENFORD_P10) <= 1e-7,
             "block 10 reference off by more than 1e-7",
         ),
         (
-            abs(benford_reference("11", 2) - BENFORD_P11) <= 1e-7,
+            abs(benford_reference(0b11, 2) - BENFORD_P11) <= 1e-7,
             "block 11 reference off by more than 1e-7",
         ),
     ]
@@ -157,12 +157,11 @@ def test_criterion_5_matrix_element_oracle():
     started = time.perf_counter()
     worst = Fraction(0)
     for k in range(1, 7):
-        for a in range(1 << k):
-            alpha = unpack_bits(a, k)
-            for x in range(1 << k):
-                target = unpack_bits(x, k)
+        blocks = range(1 << k, 2 << k)
+        for scale in blocks:
+            for target in blocks:
                 gap = abs(
-                    brute_force_element(target, alpha, 16) - matrix_element_exact(target, alpha)
+                    brute_force_element(target, scale, 16) - matrix_element_exact(target, scale)
                 )
                 worst = max(worst, gap)
     checks.append(
@@ -173,11 +172,10 @@ def test_criterion_5_matrix_element_oracle():
         n = 1 << k
         if k <= 7:
             # literal rational sums of the stored-entry construction
-            for a in range(n):
-                alpha = unpack_bits(a, k)
-                total = sum(matrix_element_exact(unpack_bits(x, k), alpha) for x in range(n))
+            for scale in range(n, 2 * n):
+                total = sum(matrix_element_exact(target, scale) for target in range(n, 2 * n))
                 if total != 1:
-                    checks.append((False, f"k={k} column {a} sums to {total}"))
+                    checks.append((False, f"k={k} column {scale - n} sums to {total}"))
         # equivalent exact form: numerators 1 + excess over column a, computed
         # with the constructor's own kernel expression, must sum to n + a
         index = np.arange(n, dtype=np.int64)
@@ -243,7 +241,7 @@ def test_criterion_7_analytic_suite():
                 broken += 1
     checks.append((broken == 0, f"{broken} telescoping mismatches for lengths <= 12"))
 
-    harmonic_gap = abs(harmonic_block_sum("10", 20) - math.log(1.5))
+    harmonic_gap = abs(harmonic_block_sum(0b10, 20) - math.log(1.5))
     checks.append(
         (harmonic_gap <= 1e-6, f"harmonic sum off ln(3/2) by {harmonic_gap:.2e} > 1e-06")
     )

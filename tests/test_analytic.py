@@ -142,14 +142,14 @@ class TestSeriesPartialSum:
 
 class TestHarmonicBlockSum:
     def test_block_10_vs_log(self):
-        assert abs(harmonic_block_sum("10", 20) - math.log(1.5)) <= 1e-6
+        assert abs(harmonic_block_sum(0b10, 20) - math.log(1.5)) <= 1e-6
 
     def test_block_11_vs_log(self):
-        assert abs(harmonic_block_sum("11", 20) - math.log(4 / 3)) <= 1e-6
+        assert abs(harmonic_block_sum(0b11, 20) - math.log(4 / 3)) <= 1e-6
         assert abs(harmonic_block_sum(3, 20) / math.log(2) - 0.4150375) <= 1e-6
 
     def test_block_1_vs_log2(self):
-        assert abs(harmonic_block_sum("1", 20) - math.log(2)) <= 1e-6
+        assert abs(harmonic_block_sum(0b1, 20) - math.log(2)) <= 1e-6
 
     def test_rigorous_error_bound(self):
         for value in (1, 2, 3, 7, 1000):
@@ -179,9 +179,9 @@ class TestHarmonicBlockSum:
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            harmonic_block_sum("10", 0)
+            harmonic_block_sum(0b10, 0)
         with pytest.raises(DepthError):
-            harmonic_block_sum("10", 27)
+            harmonic_block_sum(0b10, 27)
         with pytest.raises(DepthError):
             harmonic_block_sum(1 << 60, 20)
 

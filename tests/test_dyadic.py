@@ -182,14 +182,12 @@ class TestTruncate:
 
 class TestAsBlockValue:
     def test_variants(self):
-        assert as_block_value("10") == 2
-        assert as_block_value("11") == 3
+        assert as_block_value(0b11) == 3
         assert as_block_value(7) == 7
-        assert as_block_value("19", base=10) == 19
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            as_block_value("011")
+        with pytest.raises(TypeError, match="'11'"):
+            as_block_value("11")
         with pytest.raises(ValueError):
             as_block_value(0)
 

@@ -238,6 +238,7 @@ class TestFrequencyReport:
             ([0b10, (1, 1)], 1, 2),
             ([0b100, None], 2, 2),
             ([0x1A, "1a"], 1, 16),
+            ([0b10, 2.0], 1, 2),
         ],
     )
     def test_malformed_block_named(self, blocks, bits, base):

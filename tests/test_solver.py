@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import DEPTH2_EXACT, DEPTH2_MARGINAL_PRINTED, DEPTH2_PRINTED
 
-from benford2.dyadic import DepthError, unpack_bits
+from benford2.dyadic import DepthError
 from benford2.solver import (
     ConvergenceError,
     aggregate,
@@ -28,11 +28,7 @@ def exact_fixed_point(depth):
     """
     n = 1 << depth
     rows = [
-        [
-            matrix_element_exact(unpack_bits(x, depth), unpack_bits(a, depth))
-            - (1 if x == a else 0)
-            for a in range(n)
-        ]
+        [matrix_element_exact(n + x, n + a) - (1 if x == a else 0) for a in range(n)]
         for x in range(n - 1)
     ]
     rows.append([Fraction(1)] * n)
@@ -154,6 +150,33 @@ class TestSolve:
             solve(3, tolerance=tolerance)
 
 
+class TestClosedFormFixedPoint:
+    """The paper's analytic solution pi_V = 1/((V+1)*D), checked exactly."""
+
+    def test_stationary_through_depth_7(self):
+        for depth in range(0, 8):
+            blocks = range(1 << depth, 2 << depth)
+            weights = [Fraction(1, value + 1) for value in blocks]
+            normalizer = sum(weights)  # D = H(2n) - H(n)
+            closed = {value: weight / normalizer for value, weight in zip(blocks, weights)}
+            assert sum(closed.values()) == 1
+            for target in blocks:
+                image = sum(matrix_element_exact(target, scale) * closed[scale] for scale in blocks)
+                assert image == closed[target], (depth, target)
+
+    def test_telescoping_sums_through_depth_12(self):
+        # (M pi)_x = sum_a pi_a/(n+a) + sum_{a>x} pi_a/(n+a), and with
+        # pi_a = 1/((n+a+1) D) the first sum is 1/(2nD) and the suffix is
+        # (1/(n+x+1) - 1/(2n))/D, so (M pi)_x = pi_x at every depth
+        for depth in range(0, 13):
+            n = 1 << depth
+            suffix = Fraction(0)  # over a > x, built from the top down
+            for x in range(n - 1, -1, -1):
+                assert suffix == Fraction(1, n + x + 1) - Fraction(1, 2 * n), (depth, x)
+                suffix += Fraction(1, (n + x) * (n + x + 1))
+            assert suffix == Fraction(1, 2 * n), depth
+
+
 class TestAggregate:
     def test_depth2_onto_first_bit(self):
         marginal = aggregate(solve(2).probabilities, 1)
@@ -179,9 +202,9 @@ class TestAggregate:
 
 class TestBenfordReference:
     def test_base2_blocks(self):
-        assert abs(benford_reference("10", 2) - 0.5849625) <= 1e-7
-        assert abs(benford_reference("11", 2) - 0.4150375) <= 1e-7
-        assert benford_reference("110") == benford_reference(6)
+        assert abs(benford_reference(0b10, 2) - 0.5849625) <= 1e-7
+        assert abs(benford_reference(0b11, 2) - 0.4150375) <= 1e-7
+        assert benford_reference(0b110) == benford_reference(6, 2)
 
     def test_base10_leading_digit(self):
         assert abs(benford_reference(1, 10) - 0.301) <= 5e-4
@@ -196,11 +219,9 @@ class TestBenfordReference:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            benford_reference("10", 1)
+            benford_reference(0b10, 1)
         with pytest.raises(ValueError):
             benford_reference(0, 2)
-        with pytest.raises(ValueError):
-            benford_reference("010", 2)
 
 
 class TestConvergenceTable:

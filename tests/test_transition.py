@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from conftest import DEPTH2_PRINTED
 
-from benford2 import dyadic, transition
-from benford2.dyadic import DepthError, unpack_bits
+from benford2.analytic import harmonic_block_sum
+from benford2.dyadic import DepthError, block_value, excess_population, unpack_bits
+from benford2.solver import benford_reference
 from benford2.transition import (
     apply_dense,
     apply_fast,
@@ -25,23 +26,34 @@ DEPTH2_MATRIX = [
 
 class TestMatrixElement:
     def test_depth2_golden_entries(self):
-        assert matrix_element_exact((0, 0), (0, 1)) == Fraction(2, 5)
-        assert matrix_element_exact((1, 1), (1, 1)) == Fraction(1, 7)
+        assert matrix_element_exact(0b100, 0b101) == Fraction(2, 5)
+        assert matrix_element_exact(0b111, 0b111) == Fraction(1, 7)
 
     def test_depth1_golden_entry(self):
-        assert matrix_element_exact((0,), (1,)) == Fraction(2, 3)
+        assert matrix_element_exact(0b10, 0b11) == Fraction(2, 3)
 
     def test_bounds(self):
         for k in range(1, 7):
-            for a in range(1 << k):
-                for x in range(1 << k):
-                    value = matrix_element_exact(unpack_bits(x, k), unpack_bits(a, k))
+            blocks = range(1 << k, 2 << k)
+            for scale in blocks:
+                for target in blocks:
+                    value = matrix_element_exact(target, scale)
                     assert 0 < value <= Fraction(2, 1 << k)
                     assert value >= Fraction(1, 1 << (k + 1))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            matrix_element_exact((0,), (0, 1))
+            matrix_element_exact(0b10, 0b101)
+
+    def test_block_values_bridge_the_bit_kernel(self):
+        # the value comparison against the literal bit-by-bit excess sum
+        for k in range(0, 7):
+            vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
+            for ab in vectors:
+                scale = block_value(ab)
+                for xb in vectors:
+                    expected = Fraction(1 + excess_population(ab, xb), scale)
+                    assert matrix_element_exact(block_value(xb), scale) == expected
 
     def test_depth2_closed_form(self):
         # (1 + a1*[x1=0] + a2*[x1=a1][x2=0]) / (4 + 2*a1 + a2)
@@ -53,7 +65,7 @@ class TestMatrixElement:
                             1 + a1 * (x1 == 0) + a2 * (x1 == a1) * (x2 == 0),
                             4 + 2 * a1 + a2,
                         )
-                        assert direct == matrix_element_exact((x1, x2), (a1, a2))
+                        assert direct == matrix_element_exact(4 + 2 * x1 + x2, 4 + 2 * a1 + a2)
 
 
 class TestBuildDense:
@@ -75,9 +87,8 @@ class TestBuildDense:
     def test_column_sums_exact_rational(self):
         for k in range(1, 7):
             n = 1 << k
-            for a in range(n):
-                alpha = unpack_bits(a, k)
-                total = sum(matrix_element_exact(unpack_bits(x, k), alpha) for x in range(n))
+            for scale in range(n, 2 * n):
+                total = sum(matrix_element_exact(target, scale) for target in range(n, 2 * n))
                 assert total == 1
 
     def test_column_numerators_exact_through_depth_10(self):
@@ -177,47 +188,78 @@ class TestBruteForceElement:
         # count below 2^(m+2) of numbers starting 100: 1+2+...+2^(m-1) = 2^m - 1
         for m in (1, 4, 8, 16):
             expected = Fraction((1 << m) - 1, 1 << (m + 2))
-            assert brute_force_element((0, 0), (0, 0), m) == expected
+            assert brute_force_element(0b100, 0b100, m) == expected
 
     def test_depth1_scale_11(self):
-        value = brute_force_element((0,), (1,), 10)
+        value = brute_force_element(0b10, 0b11, 10)
         assert abs(value - Fraction(2, 3)) <= Fraction(1, 1 << 9)
 
     def test_oracle_agreement_exhaustive(self):
         for padding in (8, 16, 24):
             bound = Fraction(2, 1 << padding)
             for k in range(1, 7):
-                for a in range(1 << k):
-                    alpha = unpack_bits(a, k)
-                    for x in range(1 << k):
-                        target = unpack_bits(x, k)
+                blocks = range(1 << k, 2 << k)
+                for scale in blocks:
+                    for target in blocks:
                         gap = abs(
-                            brute_force_element(target, alpha, padding)
-                            - matrix_element_exact(target, alpha)
+                            brute_force_element(target, scale, padding)
+                            - matrix_element_exact(target, scale)
                         )
                         assert gap <= bound
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            brute_force_element((0,), (0,), 0)
+            brute_force_element(0b10, 0b10, 0)
         with pytest.raises(DepthError):
-            brute_force_element((0,) * 20, (0,) * 20, 30)
+            brute_force_element(1 << 20, 1 << 20, 30)
         with pytest.raises(ValueError):
-            brute_force_element((0, 0), (0,), 8)
+            brute_force_element(0b100, 0b10, 8)
 
 
-def test_each_argument_validated_once(monkeypatch):
-    validate = dyadic.validate_bits
-    calls = []
+ONE_BLOCK = {
+    "benford_reference": lambda block: benford_reference(block, 2),
+    "harmonic_block_sum": lambda block: harmonic_block_sum(block, 10),
+}
+TWO_BLOCKS = {
+    "matrix_element_exact": matrix_element_exact,
+    "brute_force_element": lambda target, scale: brute_force_element(target, scale, 8),
+}
+MALFORMED_BLOCKS = [
+    (4.0, TypeError),
+    (2.5, TypeError),
+    ("100", TypeError),
+    ((0, 0), TypeError),
+    (None, TypeError),
+    (0, ValueError),
+    (-4, ValueError),
+]
+MALFORMED_CALLS = (
+    [(name, (block,), error) for name in ONE_BLOCK for block, error in MALFORMED_BLOCKS]
+    + [
+        (name, args, error)
+        for name in TWO_BLOCKS
+        for block, error in MALFORMED_BLOCKS
+        for args in ((block, 0b100), (0b100, block))
+    ]
+    + [
+        (name, args, error)
+        for name in TWO_BLOCKS
+        for args, error in (((4, 8), ValueError), ((1 << 25, 1 << 25), DepthError))
+    ]
+)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return validate(*args, **kwargs)
 
-    monkeypatch.setattr(dyadic, "validate_bits", counting)
-    monkeypatch.setattr(transition, "validate_bits", counting, raising=False)
-    matrix_element_exact((0, 1), (1, 0))
-    assert len(calls) == 2
-    calls.clear()
-    brute_force_element((0, 1), (1, 0), 8)
-    assert len(calls) == 2
+@pytest.mark.parametrize(
+    "name, args, error",
+    MALFORMED_CALLS,
+    ids=[f"{name}{args!r}" for name, args, _ in MALFORMED_CALLS],
+)
+def test_malformed_block_refused(name, args, error):
+    # a block is an int value >= 1; the two blocks of an oracle share one
+    # depth within the vector budget
+    with pytest.raises(error) as raised:
+        {**ONE_BLOCK, **TWO_BLOCKS}[name](*args)
+    assert raised.type is error
+    if error is TypeError:
+        malformed = next(arg for arg in args if not isinstance(arg, int))
+        assert repr(malformed) in str(raised.value)
