@@ -26,7 +26,6 @@ from benford2.dyadic import (
     Bits,
     DepthError,
     as_block_value,
-    block_string,
     block_value,
     complement,
     dyadic_value,
@@ -86,7 +85,6 @@ __all__ = [
     "as_block_value",
     "benford_block_probabilities",
     "benford_reference",
-    "block_string",
     "block_value",
     "brute_force_element",
     "build_dense",

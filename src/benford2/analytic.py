@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from benford2._lazy import lazy_import
 from benford2.dyadic import (
@@ -188,16 +188,10 @@ def _bit_grid(depth: int, samples: int, rng: random.Random) -> list[Bits]:
     return grid
 
 
-def _check_matrix(
-    reports: list[VerificationReport],
-    kernel_depth: int,
-    column_depth: int,
-    oracle_depth: int,
-    oracle_paddings: Sequence[int],
-) -> None:
+def _check_matrix(reports: list[VerificationReport], oracle_depth: int, oracle_paddings: Sequence[int]) -> None:
     mismatches = 0
     pairs = 0
-    for k in range(0, kernel_depth + 1):
+    for k in range(0, 8 + 1):
         vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
         for a, ab in enumerate(vectors):
             for x, xb in enumerate(vectors):
@@ -208,14 +202,14 @@ def _check_matrix(
     reports.append(
         VerificationReport(
             identity="excess-kernel-equivalence",
-            params=f"exhaustive k<={kernel_depth} ({pairs} pairs)",
+            params=f"exhaustive k<=8 ({pairs} pairs)",
             error=float(mismatches),
             bound=0.0,
         )
     )
 
     worst = 0
-    for k in range(1, column_depth + 1):
+    for k in range(1, 10 + 1):
         n = 1 << k
         if k <= 6:
             # literal rational column sums: every column adds to exactly 1
@@ -230,7 +224,7 @@ def _check_matrix(
     reports.append(
         VerificationReport(
             identity="column-sums-exact",
-            params=f"k<={column_depth} (rational identity)",
+            params="k<=10 (rational identity)",
             error=float(worst),
             bound=0.0,
         )
@@ -280,7 +274,6 @@ def _check_integral(
     depths: Sequence[int],
     samples: int,
     rng: random.Random,
-    term_depth: int,
 ) -> None:
     grid = _bit_grid(min(min(depths), 12), samples, rng)
     errors_by_depth: dict[int, float] = {}
@@ -313,7 +306,7 @@ def _check_integral(
 
     mismatches = 0
     checked = 0
-    for length in range(1, term_depth + 1):
+    for length in range(1, 8 + 1):
         for packed in range(1 << length):
             tb = unpack_bits(packed, length)
             for r in range(1, length + 1):
@@ -323,7 +316,7 @@ def _check_integral(
     reports.append(
         VerificationReport(
             identity="term-two-forms-equal",
-            params=f"exhaustive len<={term_depth} ({checked} terms)",
+            params=f"exhaustive len<=8 ({checked} terms)",
             error=float(mismatches),
             bound=0.0,
         )
@@ -378,17 +371,12 @@ def _check_series(
     )
 
 
-def _check_harmonic(
-    reports: list[VerificationReport],
-    levels: Sequence[int],
-    block_depth: int,
-    extra_values: Sequence[int],
-    normalization_depths: Sequence[int],
-) -> None:
+def _check_harmonic(reports: list[VerificationReport], levels: Sequence[int]) -> None:
+    extra_values = (2, 3, 1000)
     for level in levels:
         # full small-block sweep only at affordable levels (2^level terms each)
         small_blocks = (
-            [v for k in range(0, block_depth + 1) for v in range(1 << k, 2 << k)]
+            [v for k in range(0, 6 + 1) for v in range(1 << k, 2 << k)]
             if level <= 16
             else []
         )
@@ -405,7 +393,7 @@ def _check_harmonic(
             lower_sum = upper_sum - 1.0 / start + 1.0 / (start + (1 << level))
             violation = max(lower_sum - target, target - upper_sum, 0.0)
             worst_bracket = max(worst_bracket, violation)
-        swept = f"blocks k<={block_depth} plus {list(extra_values)}" if small_blocks else f"V in {list(extra_values)}"
+        swept = f"blocks k<=6 plus {list(extra_values)}" if small_blocks else f"V in {list(extra_values)}"
         reports.append(
             VerificationReport(
                 identity="harmonic-vs-log",
@@ -422,21 +410,16 @@ def _check_harmonic(
                 bound=1e-12,
             )
         )
-    for depth in normalization_depths:
+    for depth in (1, 2, 10):
         reports.append(normalization_check(depth))
 
 
 def run_suite(
-    which: Union[str, Iterable[str]] = "all",
+    which: str = "all",
     *,
     riemann_depths: Sequence[int] = (10, 12, 14, 16),
     series_length: int = 12,
     harmonic_levels: Sequence[int] = (10, 16, 20),
-    harmonic_block_depth: int = 6,
-    harmonic_extra_values: Sequence[int] = (2, 3, 1000),
-    normalization_depths: Sequence[int] = (1, 2, 10),
-    kernel_depth: int = 8,
-    column_depth: int = 10,
     oracle_depth: int = 6,
     oracle_paddings: Sequence[int] = (8, 16, 24),
     samples: int = 8,
@@ -444,19 +427,16 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run the selected identity checks and return one report each.
 
-    ``which`` is a suite name from ``SUITES``, the string "all", or an
-    iterable of suite names (empty iterable runs nothing).  All bounds are
-    derived from the budget arguments, so shrunken budgets stay rigorous.
-    Check failures are reported, never raised; an out-of-range budget
-    raises ``ValueError`` before any suite runs.
+    ``which`` is a suite name from ``SUITES`` or "all"; the keywords are
+    the budgets of the ``verify`` command, with its defaults.  All bounds
+    are derived from the budget, so shrunken budgets stay rigorous.
+    Check failures are reported, never raised; an unknown suite or an
+    out-of-range budget raises ``ValueError`` before any suite runs.
     """
-    if isinstance(which, str):
-        selected = list(SUITES) if which == "all" else [which]
-    else:
-        selected = list(which)
-    unknown = [name for name in selected if name not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES + ('all',)}")
+    choices = SUITES + ("all",)
+    if which not in choices:
+        raise ValueError(f"unknown suite {which!r}; choose from {choices}")
+    selected = SUITES if which == "all" else (which,)
 
     if series_length < 1 or samples < 0:
         raise ValueError(f"series_length must be >= 1 and samples >= 0, got {series_length}, {samples}")
@@ -477,17 +457,11 @@ def run_suite(
     reports: list[VerificationReport] = []
     for name in selected:
         if name == "matrix":
-            _check_matrix(reports, kernel_depth, column_depth, oracle_depth, oracle_paddings)
+            _check_matrix(reports, oracle_depth, oracle_paddings)
         elif name == "integral":
-            _check_integral(reports, riemann_depths, samples, rng, term_depth=8)
+            _check_integral(reports, riemann_depths, samples, rng)
         elif name == "series":
             _check_series(reports, series_length, samples, rng)
         elif name == "harmonic":
-            _check_harmonic(
-                reports,
-                harmonic_levels,
-                harmonic_block_depth,
-                harmonic_extra_values,
-                normalization_depths,
-            )
+            _check_harmonic(reports, harmonic_levels)
     return reports

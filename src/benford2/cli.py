@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from typing import Iterator, TextIO
 
 from benford2 import analytic, empirical, transition
-from benford2.dyadic import MAX_DUMP_DEPTH, block_string
+from benford2.dyadic import MAX_DUMP_DEPTH
 from benford2.solver import (
     BACKENDS,
     ConvergenceError,
@@ -133,7 +133,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     with _sink(args.out) as out:
         out.write(head)
         for chunk in range(1 << (args.k - low)):
-            prefix = block_string(chunk, args.k - low)
+            prefix = format((1 << (args.k - low)) | chunk, "b")
             values = report.probabilities[chunk << low : (chunk + 1) << low].tolist()
             if args.format == "json":
                 rows = [
@@ -169,7 +169,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     if not 1 <= args.k <= MAX_DUMP_DEPTH:
         raise ValueError(f"--k must be in [1, {MAX_DUMP_DEPTH}] for a dump (4^k rows)")
-    labels = [block_string(i, args.k) for i in range(1 << args.k)]
+    n = 1 << args.k
+    labels = [format(value, "b") for value in range(n, 2 * n)]
     rows = [
         (x, a, value)
         for x, values in zip(labels, transition.build_dense(args.k).tolist())

@@ -38,13 +38,13 @@ class DepthError(ValueError):
     """Requested depth exceeds the configured resource budget."""
 
 
-def validate_bits(bits: Iterable[int], max_depth: int = MAX_VECTOR_DEPTH) -> Bits:
-    """Coerce to a tuple of 0/1 ints, enforcing the depth budget."""
+def validate_bits(bits: Iterable[int]) -> Bits:
+    """Coerce to a tuple of 0/1 ints, enforcing the vector depth budget."""
     out = tuple(map(int, bits))
     if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"bits must all be 0 or 1, got {out!r}")
-    if len(out) > max_depth:
-        raise DepthError(f"depth {len(out)} exceeds the budget of {max_depth}")
+    if len(out) > MAX_VECTOR_DEPTH:
+        raise DepthError(f"depth {len(out)} exceeds the budget of {MAX_VECTOR_DEPTH}")
     return out
 
 
@@ -61,13 +61,6 @@ def unpack_bits(packed: int, depth: int) -> Bits:
     if not 0 <= packed < (1 << depth):
         raise ValueError(f"packed value {packed} does not fit in {depth} bits")
     return tuple((packed >> (depth - 1 - i)) & 1 for i in range(depth))
-
-
-def block_string(packed: int, depth: int) -> str:
-    """Render the block ``1 b1 ... bk`` whose trailing bits pack to ``packed``."""
-    if depth == 0:
-        return "1"
-    return "1" + format(packed, f"0{depth}b")
 
 
 def block_value(bits: Iterable[int]) -> int:
@@ -122,9 +115,10 @@ def excess_population(alpha: Iterable[int], x: Iterable[int]) -> int:
 
 
 def as_block_value(block: int) -> int:
-    """Check a block given as its value, such as ``0b101``: a non-``int``
-    raises :class:`TypeError` and a value below 1 :class:`ValueError`."""
-    if not isinstance(block, int):
+    """Check a block given as its value, such as ``0b101``: anything but an
+    ``int`` (a ``bool`` included) raises :class:`TypeError` and a value
+    below 1 :class:`ValueError`."""
+    if type(block) is not int:
         raise TypeError(f"block {block!r} is not an int")
     if block < 1:
         raise ValueError(f"block value must be >= 1, got {block}")

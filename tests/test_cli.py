@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -295,6 +296,16 @@ class TestVerifyCommand:
         assert result.returncode == 2
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_flags_are_run_suite_budgets(self):
+        # every verify flag but --suite and --out is a run_suite keyword with
+        # the same default, and run_suite takes no other keyword
+        flags = vars(cli.build_parser().parse_args(["verify"]))
+        for name in ("command", "handler", "out", "suite"):
+            del flags[name]
+        parameters = inspect.signature(cli.analytic.run_suite).parameters.values()
+        keywords = {p.name: p.default for p in parameters if p.kind is inspect.Parameter.KEYWORD_ONLY}
+        assert flags == keywords
 
     def test_failing_report_exits_1(self, capsys, monkeypatch):
         failing = VerificationReport(identity="demo", params="p", error=1.0, bound=0.5)

@@ -8,7 +8,6 @@ from benford2.dyadic import (
     MAX_VECTOR_DEPTH,
     DepthError,
     as_block_value,
-    block_string,
     block_value,
     complement,
     dyadic_value,
@@ -87,10 +86,6 @@ class TestPacking:
     def test_unpack_range_check(self):
         with pytest.raises(ValueError):
             unpack_bits(4, 2)
-
-    def test_block_string(self):
-        assert block_string(0, 0) == "1"
-        assert block_string(1, 2) == "101"
 
 
 class TestExcessPopulation:

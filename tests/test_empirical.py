@@ -239,10 +239,11 @@ class TestFrequencyReport:
             ([0b100, None], 2, 2),
             ([0x1A, "1a"], 1, 16),
             ([0b10, 2.0], 1, 2),
+            ([0b10, True], 1, 2),
         ],
     )
     def test_malformed_block_named(self, blocks, bits, base):
-        # digit strings, floats and bit tuples are not block values
+        # digit strings, floats, bools and bit tuples are not block values
         with pytest.raises(TypeError, match=re.escape(f"block {blocks[1]!r} is not an int")):
             frequency_report(blocks, bits, base)
 

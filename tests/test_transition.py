@@ -230,6 +230,7 @@ MALFORMED_BLOCKS = [
     ("100", TypeError),
     ((0, 0), TypeError),
     (None, TypeError),
+    (True, TypeError),
     (0, ValueError),
     (-4, ValueError),
 ]
@@ -261,5 +262,5 @@ def test_malformed_block_refused(name, args, error):
         {**ONE_BLOCK, **TWO_BLOCKS}[name](*args)
     assert raised.type is error
     if error is TypeError:
-        malformed = next(arg for arg in args if not isinstance(arg, int))
+        malformed = next(arg for arg in args if type(arg) is not int)
         assert repr(malformed) in str(raised.value)
