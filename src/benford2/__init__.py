@@ -26,9 +26,6 @@ from benford2.dyadic import (
     Bits,
     DepthError,
     as_block_value,
-    block_value,
-    complement,
-    dyadic_value,
     excess_population,
     pack_bits,
     truncate,
@@ -49,10 +46,8 @@ from benford2.solver import (
     ConvergenceRow,
     SolveReport,
     aggregate,
-    benford_block_probabilities,
     benford_reference,
     convergence_table,
-    error_decay_ratios,
     solve,
 )
 from benford2.transition import (
@@ -83,15 +78,10 @@ __all__ = [
     "apply_dense",
     "apply_fast",
     "as_block_value",
-    "benford_block_probabilities",
     "benford_reference",
-    "block_value",
     "brute_force_element",
     "build_dense",
-    "complement",
     "convergence_table",
-    "dyadic_value",
-    "error_decay_ratios",
     "excess_population",
     "frequency_report",
     "generate_blocks",

@@ -94,8 +94,8 @@ def term_value_by_endpoints(t: Iterable[int], r: int) -> Fraction:
     """Term r as the integral of 1/(1+a)^2: difference of endpoint values.
 
     The integral runs over [lower, upper], the range where the scale
-    fraction matches t's complement through r-1 places and then jumps; the
-    interval always has width 2^-r.
+    fraction matches t with every bit flipped through r-1 places and then
+    jumps; the interval always has width 2^-r.
     """
     tb = validate_bits(t)
     if not 1 <= r <= len(tb):
@@ -440,6 +440,8 @@ def run_suite(
 
     if series_length < 1 or samples < 0:
         raise ValueError(f"series_length must be >= 1 and samples >= 0, got {series_length}, {samples}")
+    if series_length > 2 * MAX_DUMP_DEPTH:  # the series walks 2^(L+1) - 2 prefixes
+        raise DepthError(f"series_length must be <= {2 * MAX_DUMP_DEPTH}, got {series_length}")
     if not 1 <= oracle_depth <= MAX_DUMP_DEPTH:  # the oracle walks 4^k pairs per depth
         raise DepthError(f"oracle_depth must be in [1, {MAX_DUMP_DEPTH}], got {oracle_depth}")
     if not riemann_depths or not harmonic_levels or not oracle_paddings:

@@ -46,7 +46,11 @@ def _sink(out: str | None) -> Iterator[TextIO]:
     if out is None:
         yield sys.stdout
     else:
-        with open(out, "w") as handle:
+        try:
+            handle = open(out, "w")
+        except OSError as exc:  # a usage error: exit 2, no traceback
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
+        with handle:
             yield handle
 
 

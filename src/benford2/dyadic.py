@@ -63,29 +63,12 @@ def unpack_bits(packed: int, depth: int) -> Bits:
     return tuple((packed >> (depth - 1 - i)) & 1 for i in range(depth))
 
 
-def block_value(bits: Iterable[int]) -> int:
-    """Integer value of the block ``1 b1 ... bk``: 2^k plus the packed bits."""
-    out = validate_bits(bits)
-    return (1 << len(out)) | pack_bits(out)
-
-
-def dyadic_value(bits: Iterable[int]) -> Fraction:
-    """Exact value of the binary fraction ``0.b1 b2 ... bk``, in [0, 1)."""
-    out = validate_bits(bits)
-    return Fraction(pack_bits(out), 1 << len(out))
-
-
 def truncate(bits: Iterable[int], places: int) -> Fraction:
     """Exact value of the fraction cut after its first ``places`` bits."""
     out = validate_bits(bits)
     if not 0 <= places <= len(out):
         raise ValueError(f"places must be in [0, {len(out)}], got {places}")
     return Fraction(pack_bits(out[:places]), 1 << places)
-
-
-def complement(bits: Iterable[int]) -> Bits:
-    """Flip every bit; realizes the substitution t = 1 - x bit by bit."""
-    return tuple(1 - b for b in validate_bits(bits))
 
 
 def excess_population(alpha: Iterable[int], x: Iterable[int]) -> int:

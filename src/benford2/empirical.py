@@ -36,6 +36,14 @@ _ONE = 1 << _FRACTION_BITS
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
+def _check_digits_and_base(digits: int, base: int, name: str = "block_bits") -> None:
+    """Refuse a negative digit count or a base that ``_DIGITS`` cannot name."""
+    if digits < 0:
+        raise ValueError(f"{name} must be >= 0, got {digits}")
+    if not 2 <= base <= 36:
+        raise ValueError(f"base must be in [2, 36], got {base}")
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """Which family to stream and how to block its terms."""
@@ -50,10 +58,7 @@ class SequenceSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.block_bits < 0:
-            raise ValueError(f"block_bits must be >= 0, got {self.block_bits}")
-        if not 2 <= self.base <= 36:
-            raise ValueError(f"base must be in [2, 36], got {self.base}")
+        _check_digits_and_base(self.block_bits, self.base)
 
 
 @dataclass(frozen=True)
@@ -110,10 +115,7 @@ def leading_block(value: int, block_digits: int, base: int = 2) -> int:
     """
     if value <= 0:
         raise ValueError(f"value must be positive, got {value}")
-    if block_digits < 0:
-        raise ValueError(f"block_digits must be >= 0, got {block_digits}")
-    if not 2 <= base <= 36:
-        raise ValueError(f"base must be in [2, 36], got {base}")
+    _check_digits_and_base(block_digits, base, "block_digits")
     total = _digit_count(value, base)
     keep = min(block_digits + 1, total)
     return value // base ** (total - keep)
@@ -221,10 +223,7 @@ def check_report_rows(block_bits: int, base: int) -> None:
 
     A report has one row per block of 1 + block_bits digits in ``base``.
     """
-    if block_bits < 0:
-        raise ValueError(f"block_bits must be >= 0, got {block_bits}")
-    if not 2 <= base <= 36:
-        raise ValueError(f"base must be in [2, 36], got {base}")
+    _check_digits_and_base(block_bits, base)
     # 2^bit_length is already over the budget, so capping the exponent
     # there avoids a huge power
     if (base - 1) * base ** min(block_bits, MAX_REPORT_ROWS.bit_length()) > MAX_REPORT_ROWS:

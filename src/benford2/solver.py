@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from benford2._lazy import lazy_import
 from benford2.dyadic import (
@@ -150,18 +149,6 @@ def benford_reference(block: int, base: int = 2) -> float:
     return math.log1p(1.0 / as_block_value(block)) / math.log(base)
 
 
-def benford_block_probabilities(depth: int) -> np.ndarray:
-    """Reference probabilities of all depth-k blocks, in dyadic order.
-
-    The values telescope across the block range [2^k, 2^(k+1)), so the
-    vector sums to 1 up to rounding.
-    """
-    if not 0 <= depth <= MAX_VECTOR_DEPTH:
-        raise DepthError(f"depth must be in [0, {MAX_VECTOR_DEPTH}], got {depth}")
-    values = (1 << depth) + np.arange(1 << depth, dtype=np.float64)
-    return np.log2(1.0 + 1.0 / values)
-
-
 def convergence_table(
     max_depth: int,
     tolerance: float = 1e-14,
@@ -176,10 +163,3 @@ def convergence_table(
         rel_err = abs(report.p10 - reference) / reference
         rows.append(ConvergenceRow(depth=depth, p10=report.p10, reference=reference, rel_err=rel_err))
     return rows
-
-
-def error_decay_ratios(rows: Sequence[ConvergenceRow]) -> list[float]:
-    """Consecutive relative-error ratios; the observed decay factor is ~1/2."""
-    if len(rows) < 3:
-        raise ValueError(f"need at least 3 rows to measure decay, got {len(rows)}")
-    return [rows[i + 1].rel_err / rows[i].rel_err for i in range(len(rows) - 1)]

@@ -15,7 +15,7 @@ from benford2.analytic import (
     term_value_by_endpoints,
     term_value_by_product,
 )
-from benford2.dyadic import DepthError, complement, dyadic_value, excess_population, truncate, unpack_bits
+from benford2.dyadic import DepthError, excess_population, truncate, unpack_bits
 
 
 class TestRiemannSum:
@@ -35,7 +35,7 @@ class TestRiemannSum:
         for depth in (10, 12, 14, 16):
             worst = 0.0
             for bits in targets:
-                limit = 1.0 / (1.0 + float(dyadic_value(bits)))
+                limit = 1.0 / (1.0 + float(truncate(bits, len(bits))))
                 worst = max(worst, abs(riemann_sum(bits, depth) - limit))
             assert worst <= 8 * 2.0**-depth
             if previous is not None:
@@ -123,16 +123,17 @@ class TestSeriesPartialSum:
 
     def test_tail_bound_to_limit(self):
         for bits in [(1, 0) * 8, (1,) * 16, (0, 1, 1) * 5]:
-            limit = 1 / (2 - dyadic_value(bits))
+            limit = 1 / (2 - truncate(bits, len(bits)))
             for r in range(1, len(bits) + 1):
                 assert abs(series_partial_sum(bits, r) - limit) <= Fraction(2, 1 << r)
 
     def test_limit_consistent_with_riemann_target(self):
-        # t = complement(x): the series limit 1/(2-t) equals 1/(1+x) + 2^-k slack
+        # t = x with every bit flipped: the series limit 1/(2-t) equals
+        # 1/(1+x) + 2^-k slack
         x = (0, 1, 1, 0, 1)
-        t = complement(x)
+        t = tuple(1 - b for b in x)
         series_value = series_partial_sum(t, len(t))
-        target = 1 / (1 + dyadic_value(x))
+        target = 1 / (1 + truncate(x, len(x)))
         assert abs(series_value - target) <= Fraction(1, 1 << len(x))
 
     def test_order_out_of_range(self):
@@ -264,6 +265,8 @@ class TestRunSuite:
             {"harmonic_levels": (30,)},
             {"oracle_paddings": (0,)},
             {"oracle_depth": 6, "oracle_paddings": (8, 35)},
+            {"series_length": 17},
+            {"series_length": 25},
         ],
     )
     def test_budget_guards(self, budget, monkeypatch):

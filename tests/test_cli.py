@@ -277,6 +277,7 @@ class TestVerifyCommand:
             ["--samples", "-1"],
             ["--harmonic-levels", "30"],
             ["--oracle-depth", "9", "--oracle-paddings", "8"],
+            ["--series-length", "17"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, budget):
@@ -449,3 +450,14 @@ class TestOutPath:
         assert code == 0
         assert out == ""
         assert target.read_bytes() == printed.encode()
+
+    @pytest.mark.parametrize("where", ["missing_dir/out.csv", "."], ids=["missing-directory", "a-directory"])
+    def test_unopenable_path_is_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve", "--k", "2", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert f"error: cannot write {target}: " in captured.err
+        assert not (tmp_path / "missing_dir").exists()

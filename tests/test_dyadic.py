@@ -8,9 +8,6 @@ from benford2.dyadic import (
     MAX_VECTOR_DEPTH,
     DepthError,
     as_block_value,
-    block_value,
-    complement,
-    dyadic_value,
     excess_population,
     pack_bits,
     truncate,
@@ -25,52 +22,6 @@ def random_bits(depth, rng=RNG):
     return tuple(rng.randrange(2) for _ in range(depth))
 
 
-class TestBlockValue:
-    def test_empty_prefix_is_block_one(self):
-        assert block_value(()) == 1
-
-    def test_two_zero_bits_is_block_100(self):
-        assert block_value((0, 0)) == 4
-
-    def test_all_ones(self):
-        assert block_value((1, 1)) == 7
-
-    def test_range(self):
-        for k in range(0, 9):
-            for packed in range(1 << k):
-                value = block_value(unpack_bits(packed, k))
-                assert (1 << k) <= value < (1 << (k + 1))
-
-    def test_matches_dyadic_value_exactly(self):
-        for k in list(range(0, 9)) + [16, 24]:
-            for _ in range(50):
-                bits = random_bits(k)
-                assert block_value(bits) == (1 << k) * (1 + dyadic_value(bits))
-
-    def test_depth_guard(self):
-        with pytest.raises(DepthError):
-            block_value((0,) * 25)
-
-
-class TestDyadicValue:
-    def test_examples(self):
-        assert dyadic_value((0, 0)) == 0
-        assert dyadic_value((0, 1)) == Fraction(1, 4)
-        assert dyadic_value((1, 0, 1)) == Fraction(5, 8)
-
-    def test_range_and_denominator(self):
-        for k in range(0, 10):
-            for _ in range(20):
-                value = dyadic_value(random_bits(k))
-                assert 0 <= value < 1
-                # lowest-terms denominator divides 2^k
-                assert (1 << k) % value.denominator == 0
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            dyadic_value((0, 2))
-
-
 class TestPacking:
     def test_roundtrip(self):
         for k in range(0, 12):
@@ -80,7 +31,7 @@ class TestPacking:
 
     def test_integer_order_equals_dyadic_order(self):
         k = 6
-        values = [dyadic_value(unpack_bits(i, k)) for i in range(1 << k)]
+        values = [truncate(unpack_bits(i, k), k) for i in range(1 << k)]
         assert values == sorted(values)
 
     def test_unpack_range_check(self):
@@ -133,20 +84,7 @@ class TestExcessPopulation:
             for _ in range(200):
                 alpha, target = random_bits(k, rng), random_bits(k, rng)
                 if excess_population(alpha, target) == 1:
-                    assert dyadic_value(alpha) > dyadic_value(target)
-
-
-class TestComplement:
-    def test_examples(self):
-        assert complement((1, 0)) == (0, 1)
-        assert complement((1, 1, 1)) == (0, 0, 0)
-
-    def test_involution_and_value_identity(self):
-        for k in range(0, 12):
-            bits = random_bits(k)
-            assert complement(complement(bits)) == bits
-            expected = 1 - Fraction(1, 1 << k) - dyadic_value(bits) if k else Fraction(0)
-            assert dyadic_value(complement(bits)) == expected
+                    assert truncate(alpha, k) > truncate(target, k)
 
 
 class TestTruncate:
@@ -155,12 +93,12 @@ class TestTruncate:
 
     def test_examples(self):
         assert truncate((1, 1, 0), 2) == Fraction(3, 4)
-        assert truncate((1, 0, 1), 3) == dyadic_value((1, 0, 1))
+        assert truncate((1, 0, 1), 3) == Fraction(5, 8)
 
     def test_monotone_and_sandwich(self):
         for k in range(1, 12):
             bits = random_bits(k)
-            value = dyadic_value(bits)
+            value = truncate(bits, k)
             previous = Fraction(-1)
             for places in range(0, k + 1):
                 head = truncate(bits, places)

@@ -5,7 +5,7 @@ import pytest
 from conftest import DEPTH2_PRINTED
 
 from benford2.analytic import harmonic_block_sum
-from benford2.dyadic import DepthError, block_value, excess_population, unpack_bits
+from benford2.dyadic import DepthError, excess_population, pack_bits, unpack_bits
 from benford2.solver import benford_reference
 from benford2.transition import (
     apply_dense,
@@ -50,10 +50,10 @@ class TestMatrixElement:
         for k in range(0, 7):
             vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
             for ab in vectors:
-                scale = block_value(ab)
+                scale = (1 << k) | pack_bits(ab)
                 for xb in vectors:
                     expected = Fraction(1 + excess_population(ab, xb), scale)
-                    assert matrix_element_exact(block_value(xb), scale) == expected
+                    assert matrix_element_exact((1 << k) | pack_bits(xb), scale) == expected
 
     def test_depth2_closed_form(self):
         # (1 + a1*[x1=0] + a2*[x1=a1][x2=0]) / (4 + 2*a1 + a2)
