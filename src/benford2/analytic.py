@@ -18,7 +18,6 @@ run to completion and be summarized.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -50,6 +49,9 @@ MAX_HARMONIC_LEVEL = 26
 # harmonic_block_sum builds its terms 2^12 at a time; a whole 2^26-term
 # array would take 512 MB
 HARMONIC_CHUNK = 1 << 12
+# Each random sample costs about 2 ms in the integral and series suites at
+# the default budgets, so the cap keeps that share near 2 s.
+MAX_SAMPLES = 1 << 10
 DEFAULT_SEED = 20260809
 
 
@@ -134,13 +136,23 @@ def harmonic_block_sum(block: int, level: int) -> float:
     """Sum of 1/n over the block's scaled range [V*2^level, (V+1)*2^level).
 
     This is the left Riemann sum of 1/t over the range, so it brackets
-    ln((V+1)/V) from above with error below 1/(V*2^level).  Terms are
-    accumulated in ascending order with exact compensated summation
-    (``math.fsum``), so no precision is lost to the 2^level-term loop.
-    Each term is built by numpy in chunks of ``HARMONIC_CHUNK``: the int64
-    to float64 cast rounds as ``1.0 / n`` does and the division is
-    correctly rounded, so every term, and the exact sum, is the same as
-    ``1.0 / (start + i)``.
+    ln((V+1)/V) from above with error below 1/(V*2^level).  The result is
+    the correctly rounded exact sum of the float terms ``1.0 / n``, the
+    value ``math.fsum`` returns, computed in integers:
+
+    - numpy builds the terms in chunks of ``HARMONIC_CHUNK``.  The int64 to
+      float64 cast rounds as ``float(n)`` does past 2^53, and the division
+      is correctly rounded, so each term t is ``1.0 / n`` bit for bit.
+    - The range lies in one binade, 2^j <= n < 2^(j+1) with
+      j = bit_length(start) - 1, so 2^-(j+1) <= t <= 2^-j and every t is
+      an integer m in [2^52, 2^53] times 2^-(j+53).  Scaling by a power of
+      two makes m exact in float64.
+    - m splits into hi = floor(m / 2^26) <= 2^27 and lo = m - hi*2^26 < 2^26.
+      A chunk's sums of hi and of lo are integers below 2^39, so float64
+      adds them exactly in any order.
+    - The Python ints (hi << 26) + lo over all chunks give the exact sum of
+      m; one rounding to float and an exact ldexp by -(j+53) give the
+      correctly rounded sum.
     """
     value = as_block_value(block)
     if level < 1:
@@ -151,11 +163,16 @@ def harmonic_block_sum(block: int, level: int) -> float:
         raise DepthError(f"scaled block value 2^{level} * {value} exceeds the numeric range")
     start = value << level
     stop = start + (1 << level)
-    chunks = (
-        (1.0 / np.arange(lo, min(lo + HARMONIC_CHUNK, stop), dtype=np.int64).astype(np.float64)).tolist()
-        for lo in range(start, stop, HARMONIC_CHUNK)
-    )
-    return math.fsum(itertools.chain.from_iterable(chunks))
+    shift = start.bit_length() + 52  # j + 53
+    hi_sum = lo_sum = 0
+    for first in range(start, stop, HARMONIC_CHUNK):
+        m = 1.0 / np.arange(first, min(first + HARMONIC_CHUNK, stop), dtype=np.int64).astype(np.float64)
+        m *= 2.0**shift  # the terms scaled to integers, exactly
+        hi = np.floor(m * 2.0**-26)
+        lo = m - hi * 2.0**26
+        hi_sum += int(hi.sum())
+        lo_sum += int(lo.sum())
+    return math.ldexp(float((hi_sum << 26) + lo_sum), -shift)
 
 
 def normalization_check(depth: int) -> VerificationReport:
@@ -192,13 +209,13 @@ def _check_matrix(reports: list[VerificationReport], oracle_depth: int, oracle_p
     mismatches = 0
     pairs = 0
     for k in range(0, 8 + 1):
-        vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
-        for a, ab in enumerate(vectors):
-            for x, xb in enumerate(vectors):
-                fast = 1 if a > x else 0
-                if excess_population(ab, xb) != fast:
-                    mismatches += 1
-                pairs += 1
+        n = 1 << k
+        vectors = np.array([unpack_bits(packed, k) for packed in range(n)], dtype=np.int8).reshape(n, k)
+        # every (scale a, target x) pair at once: a on axis 0, x on axis 1
+        counted = excess_population(vectors[:, np.newaxis, :], vectors[np.newaxis, :, :])
+        index = np.arange(n)
+        mismatches += int(np.count_nonzero(counted != (index[:, np.newaxis] > index[np.newaxis, :])))
+        pairs += n * n
     reports.append(
         VerificationReport(
             identity="excess-kernel-equivalence",
@@ -440,6 +457,8 @@ def run_suite(
 
     if series_length < 1 or samples < 0:
         raise ValueError(f"series_length must be >= 1 and samples >= 0, got {series_length}, {samples}")
+    if samples > MAX_SAMPLES:
+        raise DepthError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if series_length > 2 * MAX_DUMP_DEPTH:  # the series walks 2^(L+1) - 2 prefixes
         raise DepthError(f"series_length must be <= {2 * MAX_DUMP_DEPTH}, got {series_length}")
     if not 1 <= oracle_depth <= MAX_DUMP_DEPTH:  # the oracle walks 4^k pairs per depth

@@ -40,7 +40,7 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 
 @contextmanager
 def _sink(out: str | None) -> Iterator[TextIO]:
-    """Yield what a handler writes to: ``sys.stdout`` as it is at call time
+    """Yield what the handler writes to: ``sys.stdout`` as it is at call time
     (so a ``redirect_stdout`` around ``main`` holds), or PATH opened with the
     encoding and newlines ``Path.write_text`` would use."""
     if out is None:
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     report = solve(args.k, tolerance=args.tolerance, max_iterations=args.max_iterations, backend=args.backend)
     reference = benford_reference(0b10, 2)
     # the JSON header and the CSV footer; str() of a Python float is its repr
@@ -134,26 +134,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # the rows of one chunk share their leading bits: label = prefix + suffix
     low = min(args.k, CHUNK_BITS)
     suffixes = [format(i, f"0{low}b") for i in range(1 << low)]
-    with _sink(args.out) as out:
-        out.write(head)
-        for chunk in range(1 << (args.k - low)):
-            prefix = format((1 << (args.k - low)) | chunk, "b")
-            values = report.probabilities[chunk << low : (chunk + 1) << low].tolist()
-            if args.format == "json":
-                rows = [
-                    f'    {{\n      "block": "{prefix}{suffix}",\n      "p": {value!r}\n    }}'
-                    for suffix, value in zip(suffixes, values)
-                ]
-                if chunk:
-                    out.write(",\n")
-                out.write(",\n".join(rows))
-            else:
-                out.write("".join([f"{prefix}{suffix},{value!r}\n" for suffix, value in zip(suffixes, values)]))
-        out.write(tail)
+    out.write(head)
+    for chunk in range(1 << (args.k - low)):
+        prefix = format((1 << (args.k - low)) | chunk, "b")
+        values = report.probabilities[chunk << low : (chunk + 1) << low].tolist()
+        if args.format == "json":
+            rows = [
+                f'    {{\n      "block": "{prefix}{suffix}",\n      "p": {value!r}\n    }}'
+                for suffix, value in zip(suffixes, values)
+            ]
+            if chunk:
+                out.write(",\n")
+            out.write(",\n".join(rows))
+        else:
+            out.write("".join([f"{prefix}{suffix},{value!r}\n" for suffix, value in zip(suffixes, values)]))
+    out.write(tail)
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
+def _cmd_table1(args: argparse.Namespace, out: TextIO) -> int:
     rows = convergence_table(args.kmax, tolerance=args.tolerance, backend=args.backend)
     if args.format == "json":
         payload = [
@@ -165,12 +164,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         lines = ["k,p10,benford_p10,rel_err"]
         lines += [f"{row.depth},{row.p10:.6f},{row.reference!r},{row.rel_err!r}" for row in rows]
         text = "\n".join(lines) + "\n"
-    with _sink(args.out) as out:
-        out.write(text)
+    out.write(text)
     return 0
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
     if not 1 <= args.k <= MAX_DUMP_DEPTH:
         raise ValueError(f"--k must be in [1, {MAX_DUMP_DEPTH}] for a dump (4^k rows)")
     n = 1 << args.k
@@ -187,12 +185,11 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         lines = ["x_bits,alpha_bits,value"]
         lines += [f"{x},{a},{value!r}" for x, a, value in rows]
         text = "\n".join(lines) + "\n"
-    with _sink(args.out) as out:
-        out.write(text)
+    out.write(text)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     reports = analytic.run_suite(
         args.suite,
         riemann_depths=args.riemann_depths,
@@ -204,18 +201,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     text = "\n".join(report.line() for report in reports) + "\n"
-    with _sink(args.out) as out:
-        out.write(text)
+    out.write(text)
     return 0 if all(report.passed for report in reports) else 1
 
 
-def _cmd_empirical(args: argparse.Namespace) -> int:
+def _cmd_empirical(args: argparse.Namespace, out: TextIO) -> int:
     spec = empirical.SequenceSpec(family=args.family, count=args.n, block_bits=args.bits, base=args.base)
     if spec.family == "rearranged":
         natural, rearranged = empirical.rearrangement_demo(spec.count)
-        text = f"sequence,multiple_of_four_freq\nnatural,{natural!r}\nrearranged,{rearranged!r}\n"
-        with _sink(args.out) as out:
-            out.write(text)
+        out.write(f"sequence,multiple_of_four_freq\nnatural,{natural!r}\nrearranged,{rearranged!r}\n")
         return 0
     empirical.check_report_rows(spec.block_bits, spec.base)  # before any block is generated
     report = empirical.frequency_report(empirical.generate_blocks(spec), args.bits, args.base)
@@ -225,8 +219,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     ]
     lines.append(f"chi2={report.chi_square!r} dof={report.dof} max_dev={report.max_deviation!r}")
     text = "\n".join(lines) + "\n"
-    with _sink(args.out) as out:
-        out.write(text)
+    out.write(text)
     return 0
 
 
@@ -234,7 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # open --out before the handler computes, so a bad path fails at once
+        with _sink(args.out) as out:
+            return args.handler(args, out)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

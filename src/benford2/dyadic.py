@@ -9,6 +9,9 @@ vector and matrix layers index 2^k-sized arrays with ordinary integer
 comparisons and suffix scans.  Bits, most-significant-first as a tuple of
 0/1 ints, remain where an identity is stated bit by bit: the excess sum and
 truncations here, and the Riemann sums and series terms of ``analytic``.
+The excess sum also takes 0/1 arrays with the bits on the last axis, so
+one call covers every (scale, target) pair of a depth; numpy is loaded on
+that first call, not at import.
 
 All values derived from bits are exact: integers for block values,
 ``fractions.Fraction`` for dyadic fractions and truncations.  Floating
@@ -18,7 +21,14 @@ point enters only at module boundaries that need it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+from benford2._lazy import lazy_import
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike, NDArray
+
+np = lazy_import("numpy")
 
 Bits = tuple[int, ...]
 
@@ -71,7 +81,19 @@ def truncate(bits: Iterable[int], places: int) -> Fraction:
     return Fraction(pack_bits(out[:places]), 1 << places)
 
 
-def excess_population(alpha: Iterable[int], x: Iterable[int]) -> int:
+def _bit_array(bits: ArrayLike) -> NDArray:
+    """``bits`` as a bool array whose last axis holds the bits."""
+    out = np.asarray(bits)
+    if out.ndim == 0:
+        raise ValueError("bits need an axis of bit positions, got a scalar")
+    if out.size and (out.dtype.kind not in "biu" or out.min() < 0 or out.max() > 1):
+        raise ValueError("bits must all be 0 or 1")
+    if out.shape[-1] > MAX_VECTOR_DEPTH:
+        raise DepthError(f"depth {out.shape[-1]} exceeds the budget of {MAX_VECTOR_DEPTH}")
+    return out.astype(bool)
+
+
+def excess_population(alpha: ArrayLike, x: ArrayLike) -> int | NDArray:
     """Extra population units the enhancement chunks of a scale contribute.
 
     Splitting the integers below the scale ``1 a1 ... ak 0...0`` into a base
@@ -83,18 +105,25 @@ def excess_population(alpha: Iterable[int], x: Iterable[int]) -> int:
     carried along instead of being recomputed per term).  Only a 1-over-0
     first difference fires, so the sum is 1 exactly when alpha > x, the
     comparison :mod:`benford2.transition` uses and ``verify`` checks.
+
+    ``alpha`` and ``x`` are 0/1 arrays (or tuples) whose last axis holds the
+    k bits, most significant first; their leading axes broadcast, and the
+    sum is taken for every pair at once, one bit position at a time.  Two
+    single bit vectors, such as two tuples, give a plain ``int``; otherwise
+    the result is an int array of the broadcast leading shape.
     """
-    a = validate_bits(alpha)
-    t = validate_bits(x)
-    if len(a) != len(t):
-        raise ValueError(f"bit vectors differ in length: {len(a)} vs {len(t)}")
-    total = 0
-    prefix_match = 1
-    for r in range(len(t)):
-        total += a[r] * (1 - t[r]) * prefix_match
-        if a[r] != t[r]:
-            prefix_match = 0
-    return total
+    a = _bit_array(alpha)
+    t = _bit_array(x)
+    if a.shape[-1] != t.shape[-1]:
+        raise ValueError(f"bit vectors differ in length: {a.shape[-1]} vs {t.shape[-1]}")
+    shape = np.broadcast_shapes(a.shape[:-1], t.shape[:-1])
+    total = np.zeros(shape, dtype=np.int64)
+    prefix_match = np.ones(shape, dtype=bool)
+    for r in range(t.shape[-1]):
+        a_r, x_r = a[..., r], t[..., r]
+        total += a_r & ~x_r & prefix_match
+        prefix_match &= a_r == x_r
+    return int(total) if total.ndim == 0 else total
 
 
 def as_block_value(block: int) -> int:

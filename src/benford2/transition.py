@@ -9,7 +9,8 @@ starts with the block ``1 x1 ... xk`` tends, as m grows, to
 where ``a`` is the dyadic fraction 0.a1...ak and ``excess`` is 1 when the
 scale block's value exceeds the target block's and 0 otherwise, since
 blocks of one depth compare as their dyadic fractions do (``verify`` checks
-this against :func:`benford2.dyadic.excess_population`, the literal sum).
+this for every pair at k <= 8 against one broadcast call per depth of
+:func:`benford2.dyadic.excess_population`, the literal sum).
 The denominator 2^k*(1+a) is just the integer value of the scale block, so
 every entry is an exact small rational.
 

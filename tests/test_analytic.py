@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benford2.analytic import (
+    MAX_SAMPLES,
     SUITES,
     VerificationReport,
     harmonic_block_sum,
@@ -47,13 +50,11 @@ class TestRiemannSum:
         # packed comparison, for every target at depth 8
         depth = 8
         n = 1 << depth
+        scales = [unpack_bits(a, depth) for a in range(n)]
         for x in range(0, n, 17):
             target = unpack_bits(x, depth)
-            direct = sum(
-                (1 + excess_population(unpack_bits(a, depth), target))
-                / (1 + a / n) ** 2
-                for a in range(n)
-            ) / n
+            excess = excess_population(scales, target).tolist()
+            direct = sum((1 + excess[a]) / (1 + a / n) ** 2 for a in range(n)) / n
             assert abs(riemann_sum(target, depth) - direct) <= 1e-12
 
     def test_guards(self):
@@ -178,6 +179,21 @@ class TestHarmonicBlockSum:
             reference = math.fsum(1.0 / (start + i) for i in range(1 << level))
             assert harmonic_block_sum(value, level) == reference, level
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        level=st.integers(1, 14),
+        scaled_bits=st.one_of(st.integers(15, 53), st.integers(54, 62)),
+        fraction=st.floats(0, 1, exclude_max=True),
+    )
+    def test_equals_fsum_of_terms(self, level, scaled_bits, fraction):
+        # levels on both sides of HARMONIC_CHUNK = 2^12 terms; scaled values
+        # of up to 62 bits, half of them past 2^53 where float(n) rounds
+        value_bits = scaled_bits - level
+        value = (1 << (value_bits - 1)) + int(fraction * (1 << (value_bits - 1)))
+        start = value << level
+        reference = math.fsum(1.0 / (start + i) for i in range(1 << level))
+        assert harmonic_block_sum(value, level) == reference
+
     def test_guards(self):
         with pytest.raises(ValueError):
             harmonic_block_sum(0b10, 0)
@@ -267,6 +283,8 @@ class TestRunSuite:
             {"oracle_depth": 6, "oracle_paddings": (8, 35)},
             {"series_length": 17},
             {"series_length": 25},
+            {"samples": MAX_SAMPLES + 1},
+            {"samples": 10**12},
         ],
     )
     def test_budget_guards(self, budget, monkeypatch):
@@ -279,6 +297,10 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("all", **budget)
         assert calls == []
+
+    def test_samples_at_the_cap_run(self):
+        reports = run_suite("series", series_length=1, samples=MAX_SAMPLES)
+        assert reports and all(r.passed for r in reports)
 
     def test_suite_names_exported(self):
         assert set(SUITES) == {"matrix", "series", "integral", "harmonic"}

@@ -55,6 +55,8 @@ PINNED_STDOUT = {
     " ".join(VERIFY_QUICK): "3adfd7596a710b0ceb6358cc2584ebd0d93505302a65fdeae1fb47692559b7f9",
     # levels below and past analytic.HARMONIC_CHUNK = 2^12 terms
     "verify --suite harmonic --harmonic-levels 3,13,17": "2fdff1cf66c144c7b28ee78398a086c05e2d26d97ec7d6341b140eaf3471fd6e",
+    # the default budgets and seed
+    "verify --suite all": "57a8cfe557ade8de9c8eda82545b607e56634cfa6abe2b8cf91c93766dc47929",
 }
 
 
@@ -278,6 +280,8 @@ class TestVerifyCommand:
             ["--harmonic-levels", "30"],
             ["--oracle-depth", "9", "--oracle-paddings", "8"],
             ["--series-length", "17"],
+            ["--samples", "1025"],
+            ["--samples", "1000000000000"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, budget):
@@ -461,3 +465,18 @@ class TestOutPath:
         assert captured.out == ""
         assert f"error: cannot write {target}: " in captured.err
         assert not (tmp_path / "missing_dir").exists()
+
+    def test_unopenable_path_fails_before_computing(self, capsys, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("verify computed before opening --out")
+
+        monkeypatch.setattr(cli.analytic, "run_suite", must_not_run)
+        target = tmp_path / "missing_dir" / "x.txt"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"benford2: error: cannot write {target}: No such file or directory"
+        ]

@@ -59,11 +59,12 @@ class TestExcessPopulation:
 
     def test_equivalence_exhaustive_small_depths(self):
         for k in range(0, 9):
-            for a in range(1 << k):
-                alpha = unpack_bits(a, k)
-                for x in range(1 << k):
-                    target = unpack_bits(x, k)
-                    value = excess_population(alpha, target)
+            vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
+            grid = np.array(vectors, dtype=np.int64).reshape(1 << k, k)
+            values = excess_population(grid[:, np.newaxis, :], grid[np.newaxis, :, :]).tolist()
+            for a, alpha in enumerate(vectors):
+                for x, target in enumerate(vectors):
+                    value = values[a][x]
                     assert value in (0, 1)
                     assert value == int(alpha > target)
 
@@ -71,19 +72,69 @@ class TestExcessPopulation:
         rng = random.Random(99)
         pairs_per_depth = 6_250  # 16 depths x 6250 = 100k pairs
         for k in range(9, 25):
-            for _ in range(pairs_per_depth):
-                alpha = random_bits(k, rng)
-                target = random_bits(k, rng)
-                value = excess_population(alpha, target)
+            pairs = [(random_bits(k, rng), random_bits(k, rng)) for _ in range(pairs_per_depth)]
+            alphas, targets = zip(*pairs)
+            values = excess_population(alphas, targets).tolist()
+            for (alpha, target), value in zip(pairs, values):
                 assert value in (0, 1)
                 assert value == int(alpha > target)
+
+    def test_batch_equals_tuple_form(self):
+        # the (2^k, 2^k) table against one scale tuple broadcast over every
+        # target at k <= 8, and against single tuple pairs at k <= 5 (a
+        # tuple pair costs tens of microseconds)
+        for k in range(0, 9):
+            vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
+            grid = np.array(vectors, dtype=np.int64).reshape(1 << k, k)
+            table = excess_population(grid[:, np.newaxis, :], grid[np.newaxis, :, :])
+            assert table.shape == (1 << k, 1 << k)
+            for a, alpha in enumerate(vectors):
+                assert excess_population(alpha, grid).tolist() == table[a].tolist()
+                if k <= 5:
+                    for x, target in enumerate(vectors):
+                        value = excess_population(alpha, target)
+                        assert type(value) is int
+                        assert value == table[a, x]
+
+    def test_bool_and_unsigned_bits(self):
+        alpha = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+        target = np.array([False, True])
+        assert excess_population(alpha, target).tolist() == [1, 0]
+        assert excess_population((True, False), (False, True)) == 1
+
+    @pytest.mark.parametrize(
+        "alpha, x",
+        [
+            ((0, 2), (0, 1)),
+            ((0, 1), (-1, 1)),
+            ((0.5, 1), (0, 1)),
+            (("1", "0"), (0, 1)),
+            (np.zeros((3, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)),
+            (np.zeros((3, 2), dtype=np.int64), np.zeros((4, 2), dtype=np.int64)),
+            (1, (1,)),
+        ],
+        ids=["two", "minus-one", "fraction", "strings", "unequal-bit-axes", "no-broadcast", "scalar"],
+    )
+    def test_malformed_bits_refused(self, alpha, x):
+        with pytest.raises(ValueError):
+            excess_population(alpha, x)
+
+    def test_depth_budget(self):
+        ok = (0,) * MAX_VECTOR_DEPTH
+        assert excess_population(ok, ok) == 0
+        deep = (0,) * (MAX_VECTOR_DEPTH + 1)
+        with pytest.raises(DepthError):
+            excess_population(deep, deep)
+        with pytest.raises(DepthError):
+            excess_population(np.zeros((4, MAX_VECTOR_DEPTH + 1), dtype=np.int64), deep)
 
     def test_excess_implies_strictly_larger_fraction(self):
         rng = random.Random(7)
         for k in range(1, 16):
-            for _ in range(200):
-                alpha, target = random_bits(k, rng), random_bits(k, rng)
-                if excess_population(alpha, target) == 1:
+            pairs = [(random_bits(k, rng), random_bits(k, rng)) for _ in range(200)]
+            alphas, targets = zip(*pairs)
+            for (alpha, target), value in zip(pairs, excess_population(alphas, targets).tolist()):
+                if value == 1:
                     assert truncate(alpha, k) > truncate(target, k)
 
 

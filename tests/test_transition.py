@@ -49,10 +49,12 @@ class TestMatrixElement:
         # the value comparison against the literal bit-by-bit excess sum
         for k in range(0, 7):
             vectors = [unpack_bits(packed, k) for packed in range(1 << k)]
-            for ab in vectors:
+            grid = np.array(vectors, dtype=np.int64).reshape(1 << k, k)
+            excess = excess_population(grid[:, np.newaxis, :], grid[np.newaxis, :, :]).tolist()
+            for a, ab in enumerate(vectors):
                 scale = (1 << k) | pack_bits(ab)
-                for xb in vectors:
-                    expected = Fraction(1 + excess_population(ab, xb), scale)
+                for x, xb in enumerate(vectors):
+                    expected = Fraction(1 + excess[a][x], scale)
                     assert matrix_element_exact((1 << k) | pack_bits(xb), scale) == expected
 
     def test_depth2_closed_form(self):
