@@ -52,6 +52,12 @@ HARMONIC_CHUNK = 1 << 12
 # Each random sample costs about 2 ms in the integral and series suites at
 # the default budgets, so the cap keeps that share near 2 s.
 MAX_SAMPLES = 1 << 10
+# The integral suite sums (samples + 3) * sum(2^depth) grid terms at 20 to
+# 32 ns each (a 2^22-term riemann_sum took 0.084 to 0.136 s), so the cap
+# keeps that suite within 2.7 to 4.3 s.  It is the least power of two that
+# admits MAX_SAMPLES at the default depths (8.9e7 terms; the defaults make
+# 9.6e5).
+MAX_INTEGRAL_TERMS = 1 << 27
 DEFAULT_SEED = 20260809
 
 
@@ -467,6 +473,12 @@ def run_suite(
         raise ValueError("riemann_depths, harmonic_levels and oracle_paddings must not be empty")
     if any(not 1 <= depth <= MAX_VECTOR_DEPTH for depth in riemann_depths):
         raise DepthError(f"riemann_depths must lie in [1, {MAX_VECTOR_DEPTH}], got {list(riemann_depths)}")
+    integral_terms = (samples + 3) * sum(1 << depth for depth in riemann_depths)
+    if integral_terms > MAX_INTEGRAL_TERMS:
+        raise DepthError(
+            f"riemann_depths and samples make {integral_terms} grid terms, "
+            f"more than the budget of {MAX_INTEGRAL_TERMS}"
+        )
     if any(not 1 <= level <= MAX_HARMONIC_LEVEL for level in harmonic_levels):
         raise DepthError(f"harmonic_levels must lie in [1, {MAX_HARMONIC_LEVEL}], got {list(harmonic_levels)}")
     if any(padding < 1 or oracle_depth + padding > MAX_COUNT_BITS for padding in oracle_paddings):

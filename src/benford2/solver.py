@@ -154,12 +154,16 @@ def convergence_table(
     tolerance: float = 1e-14,
     backend: str = "fast",
 ) -> list[ConvergenceRow]:
-    """Leading-pair probability and its relative error, one row per depth."""
+    """Leading-pair probability and its relative error, one row per depth.
+
+    Only ``p10`` is kept from each solve, so the previous depth's vector is
+    freed before the next solve starts.
+    """
     _check_depth(max_depth, backend)
     reference = math.log2(1.5)
     rows = []
     for depth in range(1, max_depth + 1):
-        report = solve(depth, tolerance=tolerance, backend=backend)
-        rel_err = abs(report.p10 - reference) / reference
-        rows.append(ConvergenceRow(depth=depth, p10=report.p10, reference=reference, rel_err=rel_err))
+        p10 = solve(depth, tolerance=tolerance, backend=backend).p10
+        rel_err = abs(p10 - reference) / reference
+        rows.append(ConvergenceRow(depth=depth, p10=p10, reference=reference, rel_err=rel_err))
     return rows

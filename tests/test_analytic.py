@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benford2.analytic import (
+    MAX_INTEGRAL_TERMS,
     MAX_SAMPLES,
     SUITES,
     VerificationReport,
@@ -285,6 +286,8 @@ class TestRunSuite:
             {"series_length": 25},
             {"samples": MAX_SAMPLES + 1},
             {"samples": 10**12},
+            {"riemann_depths": (24, 24, 24, 24), "samples": MAX_SAMPLES},
+            {"riemann_depths": (24,), "samples": 6},
         ],
     )
     def test_budget_guards(self, budget, monkeypatch):
@@ -297,6 +300,13 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("all", **budget)
         assert calls == []
+
+    def test_integral_terms_at_the_cap_pass_the_guard(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("benford2.analytic._check_integral", lambda *args: calls.append(args))
+        assert (5 + 3) << 24 == MAX_INTEGRAL_TERMS
+        run_suite("integral", riemann_depths=(24,), samples=5)
+        assert len(calls) == 1
 
     def test_samples_at_the_cap_run(self):
         reports = run_suite("series", series_length=1, samples=MAX_SAMPLES)

@@ -67,12 +67,22 @@ def run_cli(capsys, *argv):
 
 
 def spawn_peak_rss(*argv, timeout=120):
-    """Exit code and peak RSS in KiB of ``python -m benford2.cli argv``, stdout discarded."""
+    """Exit code and peak RSS in KiB of ``python -m benford2.cli argv``, stdout discarded.
+
+    The child is forked, then exec'd.  A posix_spawn child shares this
+    process's memory until its exec, and Linux carries that peak into the
+    child's ``ru_maxrss``: the reading would be this test process's peak
+    whenever that is the larger.
+    """
     argv = [sys.executable, "-m", "benford2.cli", *argv]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    pid = os.posix_spawn(
-        sys.executable, argv, env, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-    )
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            os.execve(sys.executable, argv, env)
+        finally:
+            os._exit(127)
     deadline = time.monotonic() + timeout
     while True:
         reaped, status, usage = os.wait4(pid, os.WNOHANG)
@@ -172,11 +182,10 @@ class TestSolveCommand:
 
 class TestTable1Command:
     def test_peak_rss_of_deep_table(self):
-        # three 2^22 vectors live at once in the fast solve: 189 MB with the
-        # kernel's temporaries, about 153 MB without them
+        # two 2^22 vectors live at once in the fast solve: about 93 MB
         code, peak_kib = spawn_peak_rss("table1", "--kmax", "22")
         assert code == 0
-        assert peak_kib < 170 * 1024
+        assert peak_kib < 112 * 1024
 
     def test_ten_rows_match_table_values(self, capsys, table10):
         code, out, _ = run_cli(capsys, "table1", "--kmax", "10")
@@ -282,6 +291,8 @@ class TestVerifyCommand:
             ["--series-length", "17"],
             ["--samples", "1025"],
             ["--samples", "1000000000000"],
+            ["--riemann-depths", "24,24,24,24", "--samples", "1024"],
+            ["--riemann-depths", "24", "--samples", "6"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, budget):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from conftest import DEPTH2_PRINTED
 
 from benford2.analytic import harmonic_block_sum
 from benford2.dyadic import DepthError, excess_population, pack_bits, unpack_bits
-from benford2.solver import benford_reference
+from benford2.solver import benford_reference, convergence_table, solve
 from benford2.transition import (
     apply_dense,
     apply_fast,
@@ -167,9 +168,10 @@ class TestApply:
                 assert np.max(gap) <= 1e-12
 
     def test_fast_bits_equal_suffix_expression(self):
-        # w = v / scale, s = reversed cumulative sum of w, product = s[0] + s - w
+        # w = v / scale, s = reversed cumulative sum of w, product = s[0] + s - w;
+        # k up to 18 scans 1, 2, 4 and 8 blocks of APPLY_BLOCK
         rng = np.random.default_rng(29)
-        for k in range(1, 17):
+        for k in range(1, 19):
             n = 1 << k
             vector = rng.random(n)
             before = vector.copy()
@@ -183,6 +185,33 @@ class TestApply:
             apply_fast(np.ones(3), 2)
         with pytest.raises(DepthError):
             apply_fast(np.ones(2), 25)
+
+
+def traced_peak(run):
+    """Peak of the memory traced while ``run()`` executes, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    # at depth 20 one vector is 8 MiB; the kernel's block buffers and the
+    # small objects fit in 1 MiB of slack
+    VECTOR = 8 << 20
+    SLACK = 1 << 20
+
+    def test_apply_fast_allocates_only_its_output(self):
+        vector = np.full(1 << 20, 2.0**-20)
+        assert traced_peak(lambda: apply_fast(vector, 20)) <= self.VECTOR + self.SLACK
+
+    def test_solve_holds_two_vectors(self):
+        assert traced_peak(lambda: solve(20)) <= 2 * self.VECTOR + self.SLACK
+
+    def test_convergence_table_holds_two_vectors(self):
+        assert traced_peak(lambda: convergence_table(20)) <= 2 * self.VECTOR + self.SLACK
 
 
 class TestBruteForceElement:
