@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
+import signal
 import sys
 from contextlib import contextmanager
-from typing import Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 from benford2 import analytic, empirical, transition
 from benford2.dyadic import MAX_DUMP_DEPTH
@@ -131,25 +134,80 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     else:
         head = "block,p\n"
         tail = " ".join(f"{key}={value}" for key, value in summary.items()) + "\n"
-    # the rows of one chunk share their leading bits: label = prefix + suffix
     low = min(args.k, CHUNK_BITS)
     suffixes = [format(i, f"0{low}b") for i in range(1 << low)]
-    out.write(head)
-    for chunk in range(1 << (args.k - low)):
+
+    def rows(chunk: int) -> str:
+        # the rows of one chunk share their leading bits: label = prefix + suffix
         prefix = format((1 << (args.k - low)) | chunk, "b")
         values = report.probabilities[chunk << low : (chunk + 1) << low].tolist()
         if args.format == "json":
-            rows = [
+            lines = [
                 f'    {{\n      "block": "{prefix}{suffix}",\n      "p": {value!r}\n    }}'
                 for suffix, value in zip(suffixes, values)
             ]
-            if chunk:
-                out.write(",\n")
-            out.write(",\n".join(rows))
-        else:
-            out.write("".join([f"{prefix}{suffix},{value!r}\n" for suffix, value in zip(suffixes, values)]))
+            return ",\n".join([""] + lines if chunk else lines)
+        return "".join([f"{prefix}{suffix},{value!r}\n" for suffix, value in zip(suffixes, values)])
+
+    out.write(head)
+    _write_chunks(out, 1 << (args.k - low), rows)
     out.write(tail)
     return 0
+
+
+def _write_chunks(out: TextIO, count: int, format_chunk: Callable[[int], str]) -> None:
+    """Write ``format_chunk(0)``, ..., ``format_chunk(count - 1)`` to ``out``, in order.
+
+    Chunk c is formatted by worker c % W, where W = min(CPUs this process
+    may use, count).  Worker 0 is this process; each other worker is a
+    forked child that marshals the text of its chunks into its own pipe.
+    Only this process writes.  It formats any chunk whose text does not
+    arrive (the child failed or could not be forked) itself.  Every child
+    is killed and reaped before this returns or raises.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+    workers = min(len(cpus), count)
+    readers: dict[int, BinaryIO] = {}
+    pids = []
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: its chunks are formatted here
+                os.close(read_fd)
+                os.close(write_fd)
+                continue
+            if pid == 0:  # never returns, so it flushes no inherited buffer and runs no atexit hook
+                try:  # the child holds no read end, so its writes fail once the parent is gone
+                    os.close(read_fd)
+                    for reader in readers.values():
+                        reader.close()
+                    with open(write_fd, "wb") as pipe:
+                        for chunk in range(worker, count, workers):
+                            marshal.dump(format_chunk(chunk), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            os.close(write_fd)
+            readers[worker] = open(read_fd, "rb")
+        for chunk in range(count):
+            text = None  # frees the last chunk's text before the next one is read
+            if chunk % workers in readers:
+                try:
+                    text = marshal.load(readers[chunk % workers])
+                except (EOFError, ValueError):
+                    pass
+                if type(text) is not str:  # the child failed: its later frames cannot be trusted
+                    readers.pop(chunk % workers).close()
+            out.write(text if type(text) is str else format_chunk(chunk))
+    finally:
+        for reader in readers.values():
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _cmd_table1(args: argparse.Namespace, out: TextIO) -> int:

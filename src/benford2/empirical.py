@@ -37,7 +37,13 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def _check_digits_and_base(digits: int, base: int, name: str = "block_bits") -> None:
-    """Refuse a negative digit count or a base that ``_DIGITS`` cannot name."""
+    """Refuse a digit count or base that is not an ``int`` (a ``bool`` included)
+    with :class:`TypeError`, and a negative digit count or a base that
+    ``_DIGITS`` cannot name with :class:`ValueError`."""
+    if type(digits) is not int:
+        raise TypeError(f"{name} {digits!r} is not an int")
+    if type(base) is not int:
+        raise TypeError(f"base {base!r} is not an int")
     if digits < 0:
         raise ValueError(f"{name} must be >= 0, got {digits}")
     if not 2 <= base <= 36:

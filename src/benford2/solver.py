@@ -143,8 +143,14 @@ def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:
 
 
 def benford_reference(block: int, base: int = 2) -> float:
-    """Reference probability log_base(1 + 1/value) of a leading block."""
-    if int(base) != base or base < 2:
+    """Reference probability log_base(1 + 1/value) of a leading block.
+
+    A block or base that is not an ``int`` (a ``bool`` included) raises
+    :class:`TypeError`; a block below 1 or a base below 2 :class:`ValueError`.
+    """
+    if type(base) is not int:
+        raise TypeError(f"base {base!r} is not an int")
+    if base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base}")
     return math.log1p(1.0 / as_block_value(block)) / math.log(base)
 

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
+import marshal
 import math
 import os
 import signal
@@ -8,6 +11,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import DEPTH2_PRINTED
@@ -95,6 +99,26 @@ def spawn_peak_rss(*argv, timeout=120):
         time.sleep(0.05)
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that ``os.fork`` makes in this process."""
+    made, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
+
+
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
 def test_pinned_stdout(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
@@ -172,6 +196,88 @@ class TestSolveCommand:
         code, chunked, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
         assert code == 0
         assert chunked == whole
+
+    @pytest.mark.parametrize("cpus", [None, {0, 1, 2}], ids=["own-mask", "three-cpus"])
+    @pytest.mark.parametrize("chunk_bits", [1, 2])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fan_out_keeps_bytes(self, capsys, monkeypatch, forks, chunk_bits, fmt, cpus):
+        monkeypatch.setattr(cli, "CHUNK_BITS", chunk_bits)
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        workers = min(len(os.sched_getaffinity(0)), 1 << (5 - chunk_bits))
+        code, fanned, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
+        assert code == 0 and len(forks) == workers - 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _, single, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
+        assert len(forks) == workers - 1  # one CPU: nothing forked
+        assert fanned == single
+        assert_no_children()
+
+    def test_one_chunk_forks_nothing(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        code, out, _ = run_cli(capsys, "solve", "--k", str(cli.CHUNK_BITS))
+        assert code == 0
+        assert len(out.splitlines()) == (1 << cli.CHUNK_BITS) + 2
+        assert forks == []
+
+    @pytest.mark.parametrize("error", [None, BrokenPipeError, KeyboardInterrupt])
+    def test_no_child_outlives_main(self, capsys, monkeypatch, tmp_path, forks, error):
+        class Stream(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2 and error is not None:
+                    raise error()
+                return super().write(text)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(cli, "_sink", lambda path: contextlib.nullcontext(Stream()))
+        argv = ["solve", "--k", "17", "--out", str(tmp_path / "out.csv")]
+        if error is None:
+            assert cli.main(argv) == 0
+        else:  # the second write is the first chunk: the child has been forked
+            with pytest.raises(error):
+                cli.main(argv)
+        assert len(forks) == 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("failure", ["raises", "raises-late", "bad-frame", "not-a-str", "no-fork"])
+    def test_failed_child_falls_back(self, capsys, monkeypatch, forks, failure):
+        monkeypatch.setattr(cli, "CHUNK_BITS", 1)  # 16 chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _, whole, _ = run_cli(capsys, "solve", "--k", "5")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        parent = os.getpid()
+        if failure.startswith("raises"):
+            write_chunks = cli._write_chunks
+
+            def flaky(out, count, format_chunk):
+                def format_or_fail(chunk):
+                    # "raises-late": each child sends its first chunk, then fails
+                    if os.getpid() != parent and (failure == "raises" or chunk > 2):
+                        raise RuntimeError("formatting failed in the child")
+                    return format_chunk(chunk)
+
+                write_chunks(out, count, format_or_fail)
+
+            monkeypatch.setattr(cli, "_write_chunks", flaky)
+        elif failure == "no-fork":
+
+            def no_fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            garbage = {"bad-frame": b"\x00", "not-a-str": marshal.dumps(b"bytes")}[failure]
+
+            def dump(value, file):
+                file.write(garbage if os.getpid() != parent else marshal.dumps(value))
+
+            monkeypatch.setattr(cli, "marshal", SimpleNamespace(dump=dump, load=marshal.load))
+        code, out, err = run_cli(capsys, "solve", "--k", "5")
+        assert (code, out, err) == (0, whole, "")
+        assert_no_children()
 
     def test_peak_rss_does_not_grow_with_output(self):
         # the rows stream out in chunks: 283 MB when they were joined first

@@ -94,6 +94,10 @@ class TestLeadingBlock:
             leading_block(5, -1, 2)
         with pytest.raises(ValueError):
             leading_block(5, 1, 1)
+        with pytest.raises(TypeError, match="base 2.0 is not an int"):
+            leading_block(5, 1, 2.0)
+        with pytest.raises(TypeError, match="block_digits True is not an int"):
+            leading_block(5, True, 2)
 
 
 class TestGenerateBlocks:
@@ -158,6 +162,10 @@ class TestGenerateBlocks:
             SequenceSpec("pow3", count=5, block_bits=-1)
         with pytest.raises(ValueError):
             SequenceSpec("pow3", count=5, base=1)
+        with pytest.raises(TypeError, match="block_bits 1.5 is not an int"):
+            SequenceSpec("pow3", 10, 1.5)
+        with pytest.raises(TypeError, match="base 10.0 is not an int"):
+            SequenceSpec("pow3", count=5, base=10.0)
 
     def test_families_tuple(self):
         assert FAMILIES == ("pow3", "fibonacci", "factorial", "rearranged")

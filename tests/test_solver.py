@@ -217,6 +217,9 @@ class TestBenfordReference:
             benford_reference(0b10, 1)
         with pytest.raises(ValueError):
             benford_reference(0, 2)
+        for base in (float("inf"), 2.0, True, "2"):
+            with pytest.raises(TypeError, match=f"base {base!r} is not an int"):
+                benford_reference(0b10, base)
 
 
 class TestConvergenceTable:
