@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import marshal
-import os
-import signal
 import sys
-from contextlib import contextmanager
-from typing import BinaryIO, Callable, Iterator, TextIO
+from contextlib import closing, contextmanager
+from typing import Iterator, TextIO
 
-from benford2 import analytic, empirical, transition
+from benford2 import _fanout, analytic, empirical, transition
 from benford2.dyadic import MAX_DUMP_DEPTH
 from benford2.solver import (
     BACKENDS,
@@ -26,8 +23,6 @@ from benford2.solver import (
     convergence_table,
     solve,
 )
-
-CHUNK_BITS = 16  # solve formats and writes 2^16 rows at a time
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -134,7 +129,7 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     else:
         head = "block,p\n"
         tail = " ".join(f"{key}={value}" for key, value in summary.items()) + "\n"
-    low = min(args.k, CHUNK_BITS)
+    low = min(args.k, _fanout.CHUNK_BITS)
     suffixes = [format(i, f"0{low}b") for i in range(1 << low)]
 
     def rows(chunk: int) -> str:
@@ -150,64 +145,12 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
         return "".join([f"{prefix}{suffix},{value!r}\n" for suffix, value in zip(suffixes, values)])
 
     out.write(head)
-    _write_chunks(out, 1 << (args.k - low), rows)
+    with closing(_fanout.fan_out(rows, [1 << low] * (1 << (args.k - low)))) as chunks:
+        for text in chunks:
+            out.write(text)
+            del text  # frees the chunk's text before the next one is read
     out.write(tail)
     return 0
-
-
-def _write_chunks(out: TextIO, count: int, format_chunk: Callable[[int], str]) -> None:
-    """Write ``format_chunk(0)``, ..., ``format_chunk(count - 1)`` to ``out``, in order.
-
-    Chunk c is formatted by worker c % W, where W = min(CPUs this process
-    may use, count).  Worker 0 is this process; each other worker is a
-    forked child that marshals the text of its chunks into its own pipe.
-    Only this process writes.  It formats any chunk whose text does not
-    arrive (the child failed or could not be forked) itself.  Every child
-    is killed and reaped before this returns or raises.
-    """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
-    workers = min(len(cpus), count)
-    readers: dict[int, BinaryIO] = {}
-    pids = []
-    try:
-        for worker in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: its chunks are formatted here
-                os.close(read_fd)
-                os.close(write_fd)
-                continue
-            if pid == 0:  # never returns, so it flushes no inherited buffer and runs no atexit hook
-                try:  # the child holds no read end, so its writes fail once the parent is gone
-                    os.close(read_fd)
-                    for reader in readers.values():
-                        reader.close()
-                    with open(write_fd, "wb") as pipe:
-                        for chunk in range(worker, count, workers):
-                            marshal.dump(format_chunk(chunk), pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-            os.close(write_fd)
-            readers[worker] = open(read_fd, "rb")
-        for chunk in range(count):
-            text = None  # frees the last chunk's text before the next one is read
-            if chunk % workers in readers:
-                try:
-                    text = marshal.load(readers[chunk % workers])
-                except (EOFError, ValueError):
-                    pass
-                if type(text) is not str:  # the child failed: its later frames cannot be trusted
-                    readers.pop(chunk % workers).close()
-            out.write(text if type(text) is str else format_chunk(chunk))
-    finally:
-        for reader in readers.values():
-            reader.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _cmd_table1(args: argparse.Namespace, out: TextIO) -> int:

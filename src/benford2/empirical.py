@@ -36,6 +36,15 @@ _ONE = 1 << _FRACTION_BITS
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
+def _check_count(count: int, least: int) -> None:
+    """Refuse a term count that is not an ``int`` (a ``bool`` included) with
+    :class:`TypeError`, and one below ``least`` with :class:`ValueError`."""
+    if type(count) is not int:
+        raise TypeError(f"count {count!r} is not an int")
+    if count < least:
+        raise ValueError(f"count must be >= {least}, got {count}")
+
+
 def _check_digits_and_base(digits: int, base: int, name: str = "block_bits") -> None:
     """Refuse a digit count or base that is not an ``int`` (a ``bool`` included)
     with :class:`TypeError`, and a negative digit count or a base that
@@ -62,8 +71,7 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        _check_count(self.count, 1)
         _check_digits_and_base(self.block_bits, self.base)
 
 
@@ -205,8 +213,7 @@ def rearranged_sequence(count: int) -> list[int]:
     Odd slots walk the non-multiples of four in order, even slots walk the
     multiples of four in order: 1, 4, 2, 8, 3, 12, 5, 16, ...
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_count(count, 1)
     non_multiples = (v for v in itertools.count(1) if v % 4)
     multiples = itertools.count(4, 4)
     return [next(multiples) if i % 2 else next(non_multiples) for i in range(count)]
@@ -288,8 +295,7 @@ def rearrangement_demo(count: int) -> tuple[float, float]:
     frequency approaches 1/4, the second 1/2, although both sequences run
     over the same set of integers.
     """
-    if count < 4:
-        raise ValueError(f"count must be >= 4, got {count}")
+    _check_count(count, 4)
     natural = range(1, count + 1)
     natural_freq = sum(1 for v in natural if v % 4 == 0) / count
     rearranged_freq = sum(1 for v in rearranged_sequence(count) if v % 4 == 0) / count

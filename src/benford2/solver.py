@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from benford2 import _fanout
 from benford2._lazy import lazy_import
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
@@ -68,13 +69,20 @@ class ConvergenceRow:
     rel_err: float
 
 
-def _check_depth(depth: int, backend: str) -> None:
-    """Reject an unknown backend or a depth outside that backend's budget."""
+def _check_arguments(depth: int, backend: str, tolerance: float) -> None:
+    """Reject a depth that is not an ``int`` (a ``bool`` included) with
+    :class:`TypeError`; an unknown backend, a depth outside that backend's
+    budget or a tolerance that is not positive and finite with
+    :class:`ValueError`."""
+    if type(depth) is not int:
+        raise TypeError(f"depth {depth!r} is not an int")
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     max_depth = MAX_DENSE_DEPTH if backend == "dense" else MAX_VECTOR_DEPTH
     if not 1 <= depth <= max_depth:
         raise DepthError(f"{backend} backend depth must be in [1, {max_depth}], got {depth}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
 
 def solve(
@@ -91,9 +99,7 @@ def solve(
     drops to ``tolerance``.  Raises :class:`ConvergenceError` if the cap is
     hit first.
     """
-    _check_depth(depth, backend)
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    _check_arguments(depth, backend, tolerance)
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
@@ -162,14 +168,23 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Leading-pair probability and its relative error, one row per depth.
 
-    Only ``p10`` is kept from each solve, so the previous depth's vector is
-    freed before the next solve starts.
+    The depths are independent solves, spread over the CPUs this process
+    may use by :func:`benford2._fanout.fan_out`, each weighted by its 2^depth
+    entries; a child is forked only for a share above one 2^16-entry chunk,
+    so no table up to depth 16 forks.  A child sends back only ``p10``, a
+    float that marshals exactly, so the rows are those of solving every
+    depth here.  Only ``p10`` is kept from each solve, so each depth's
+    vector is freed before the next solve starts.
     """
-    _check_depth(max_depth, backend)
+    _check_arguments(max_depth, backend, tolerance)
     reference = math.log2(1.5)
-    rows = []
-    for depth in range(1, max_depth + 1):
-        p10 = solve(depth, tolerance=tolerance, backend=backend).p10
-        rel_err = abs(p10 - reference) / reference
-        rows.append(ConvergenceRow(depth=depth, p10=p10, reference=reference, rel_err=rel_err))
-    return rows
+    depths = range(1, max_depth + 1)
+    p10s = _fanout.fan_out(
+        lambda i: solve(depths[i], tolerance=tolerance, backend=backend).p10,
+        [1 << depth for depth in depths],
+        floor=1 << _fanout.CHUNK_BITS,
+    )
+    return [
+        ConvergenceRow(depth=depth, p10=p10, reference=reference, rel_err=abs(p10 - reference) / reference)
+        for depth, p10 in zip(depths, p10s)
+    ]

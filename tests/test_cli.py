@@ -17,9 +17,9 @@ import pytest
 from conftest import DEPTH2_PRINTED
 
 import benford2
-from benford2 import cli
+from benford2 import _fanout, cli, solver
 from benford2.analytic import VerificationReport
-from benford2.solver import convergence_table, solve
+from benford2.solver import ConvergenceError, convergence_table, solve
 
 VERIFY_QUICK = [
     "verify",
@@ -45,7 +45,7 @@ PINNED_STDOUT = {
     "solve --k 3": "c8feeb13bdd0a2e3b3e34ea891aecc49937a8b892f50eb95e67406e0355a5aa4",
     "solve --k 4": "c8683e58fb2aa7f30816a08b16b310755050a4864f6f046a469ebc3e0d5ef6f2",
     "solve --k 4 --format json": "e177a08f172d25ea9c26c8a3dbd3cca852e2366914b5a5b51420097f6079014c",
-    # 2^17 rows: two chunks of cli.CHUNK_BITS = 16
+    # 2^17 rows: two chunks of _fanout.CHUNK_BITS = 16
     "solve --k 17": "a1ae2e03cbef7cf73cbdac100b39637e46b3ecab0a51fe53d74884733f6ddbcb",
     "solve --k 17 --format json": "4a479d2a29c033d32e1111f1b66810d302d84e3f0bcc04d60922cd818cb7fe4b",
     "table1 --kmax 6": "63758c189fa989c5a43d6c2b25e95f26b8852925c9c398f4b9e6ae374dab2d10",
@@ -192,7 +192,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_chunk_size_keeps_bytes(self, capsys, monkeypatch, chunk_bits, fmt):
         _, whole, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
-        monkeypatch.setattr(cli, "CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", chunk_bits)
         code, chunked, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
         assert code == 0
         assert chunked == whole
@@ -201,7 +201,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("chunk_bits", [1, 2])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fan_out_keeps_bytes(self, capsys, monkeypatch, forks, chunk_bits, fmt, cpus):
-        monkeypatch.setattr(cli, "CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", chunk_bits)
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         workers = min(len(os.sched_getaffinity(0)), 1 << (5 - chunk_bits))
@@ -215,9 +215,9 @@ class TestSolveCommand:
 
     def test_one_chunk_forks_nothing(self, capsys, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        code, out, _ = run_cli(capsys, "solve", "--k", str(cli.CHUNK_BITS))
+        code, out, _ = run_cli(capsys, "solve", "--k", str(_fanout.CHUNK_BITS))
         assert code == 0
-        assert len(out.splitlines()) == (1 << cli.CHUNK_BITS) + 2
+        assert len(out.splitlines()) == (1 << _fanout.CHUNK_BITS) + 2
         assert forks == []
 
     @pytest.mark.parametrize("error", [None, BrokenPipeError, KeyboardInterrupt])
@@ -244,24 +244,24 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("failure", ["raises", "raises-late", "bad-frame", "not-a-str", "no-fork"])
     def test_failed_child_falls_back(self, capsys, monkeypatch, forks, failure):
-        monkeypatch.setattr(cli, "CHUNK_BITS", 1)  # 16 chunks
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", 1)  # 16 chunks
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         _, whole, _ = run_cli(capsys, "solve", "--k", "5")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         parent = os.getpid()
         if failure.startswith("raises"):
-            write_chunks = cli._write_chunks
+            fan_out = _fanout.fan_out
 
-            def flaky(out, count, format_chunk):
+            def flaky(format_chunk, weights, floor=0):
                 def format_or_fail(chunk):
                     # "raises-late": each child sends its first chunk, then fails
                     if os.getpid() != parent and (failure == "raises" or chunk > 2):
                         raise RuntimeError("formatting failed in the child")
                     return format_chunk(chunk)
 
-                write_chunks(out, count, format_or_fail)
+                return fan_out(format_or_fail, weights, floor)
 
-            monkeypatch.setattr(cli, "_write_chunks", flaky)
+            monkeypatch.setattr(_fanout, "fan_out", flaky)
         elif failure == "no-fork":
 
             def no_fork():
@@ -274,7 +274,7 @@ class TestSolveCommand:
             def dump(value, file):
                 file.write(garbage if os.getpid() != parent else marshal.dumps(value))
 
-            monkeypatch.setattr(cli, "marshal", SimpleNamespace(dump=dump, load=marshal.load))
+            monkeypatch.setattr(_fanout, "marshal", SimpleNamespace(dump=dump, load=marshal.load))
         code, out, err = run_cli(capsys, "solve", "--k", "5")
         assert (code, out, err) == (0, whole, "")
         assert_no_children()
@@ -323,6 +323,75 @@ class TestTable1Command:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["table1", "--kmax", "0"])
         assert excinfo.value.code == 2
+
+    def test_tolerance_checked_before_any_fork(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["table1", "--kmax", "20", "--tolerance", "0"])
+        assert excinfo.value.code == 2
+        assert forks == []
+
+    # children forked for each (kmax, CPUs): weights 2^depth, heaviest share
+    # first, a child only for a share above 2^16
+    FORKS = {(17, 1): 0, (17, 2): 1, (17, 3): 1, (18, 1): 0, (18, 2): 1, (18, 3): 2}
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2}], ids=len)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kmax", [17, 18])
+    def test_fan_out_keeps_bytes(self, capsys, monkeypatch, forks, kmax, fmt, cpus):
+        argv = ["table1", "--kmax", str(kmax), "--format", fmt]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        single = run_cli(capsys, *argv)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert run_cli(capsys, *argv) == single
+        assert single[0] == 0 and len(forks) == self.FORKS[kmax, len(cpus)]
+        rows = json.loads(single[1]) if fmt == "json" else single[1].splitlines()[1:]
+        assert len(rows) == kmax
+        assert_no_children()
+
+    @pytest.mark.parametrize("argv", [["--kmax", "16"], ["--kmax", "11", "--backend", "dense"]], ids=" ".join)
+    def test_small_tables_fork_nothing(self, capsys, monkeypatch, forks, argv):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        code, out, _ = run_cli(capsys, "table1", *argv)
+        assert code == 0
+        assert len(out.splitlines()) == int(argv[1]) + 1
+        assert forks == []
+        assert_no_children()
+
+    @pytest.mark.parametrize("failure", ["raises", "convergence"])
+    def test_failed_child_falls_back(self, capsys, monkeypatch, forks, failure):
+        # "raises": depth 17 fails in the child only, so the parent solves it;
+        # "convergence": it fails everywhere, and the error is the one-CPU run's
+        solve, parent = solver.solve, os.getpid()
+
+        def flaky(depth, **kwargs):
+            if depth == 17 and (failure == "convergence" or os.getpid() != parent):
+                raise ConvergenceError(3, 1e-3, kwargs["tolerance"])
+            return solve(depth, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", flaky)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        single = run_cli(capsys, "table1", "--kmax", "17")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert run_cli(capsys, "table1", "--kmax", "17") == single
+        assert single[0] == (0 if failure == "raises" else 1)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_no_child_outlives_interrupt(self, capsys, monkeypatch, forks):
+        solve = solver.solve
+
+        def interrupted(depth, **kwargs):
+            if depth == 5:  # in this process, while the child solves depth 17
+                raise KeyboardInterrupt
+            return solve(depth, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", interrupted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["table1", "--kmax", "17"])
+        assert len(forks) == 1
+        assert_no_children()
 
 
 class TestMatrixCommand:
@@ -517,7 +586,7 @@ class TestEmpiricalCommand:
         script = """
 import contextlib, hashlib, io, sys
 import benford2
-from benford2 import cli
+from benford2 import _fanout, cli
 assert "numpy._core" not in sys.modules, "import benford2 loaded numpy"
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["empirical", "--family", "pow3", "--n", "200", "--bits", "2"])

@@ -166,6 +166,10 @@ class TestGenerateBlocks:
             SequenceSpec("pow3", 10, 1.5)
         with pytest.raises(TypeError, match="base 10.0 is not an int"):
             SequenceSpec("pow3", count=5, base=10.0)
+        with pytest.raises(TypeError, match="count 10.0 is not an int"):
+            SequenceSpec("pow3", 10.0)
+        with pytest.raises(TypeError, match="count True is not an int"):
+            SequenceSpec("pow3", True)
 
     def test_families_tuple(self):
         assert FAMILIES == ("pow3", "fibonacci", "factorial", "rearranged")
@@ -322,3 +326,7 @@ class TestRearrangement:
             rearrangement_demo(3)
         with pytest.raises(ValueError):
             rearranged_sequence(0)
+        with pytest.raises(TypeError, match="count True is not an int"):
+            rearranged_sequence(True)
+        with pytest.raises(TypeError, match="count 8.0 is not an int"):
+            rearrangement_demo(8.0)

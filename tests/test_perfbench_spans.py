@@ -10,7 +10,10 @@ only by the benchmark's own tests.
 """
 
 import importlib
+import os
 from pathlib import Path
+
+import pytest
 
 from benford2 import analytic, cli, empirical, solver, transition
 
@@ -39,3 +42,22 @@ def test_benchmark_suite_timer_runs_every_suite(monkeypatch):
     times = run.time_suites(cli, analytic, workloads.commands("verify_all", 20260809, smoke=True), checks)
     assert set(times) == {"analytic.matrix_s", "analytic.series_s", "analytic.integral_s", "analytic.harmonic_s"}
     assert checks.failures == []
+
+
+def test_traced_table_forks_and_keeps_bytes(monkeypatch, capsys):
+    # depth 17 is solved in a forked child, whose spans are not collected
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spans = importlib.import_module("spans")
+    argv = ["table1", "--kmax", "17"]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    tracer = spans.Tracer()
+    with spans.patched(spans.instrument(tracer, cli, solver, transition, analytic, empirical)):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out == untraced
+    names = [span.name for span in tracer.spans]
+    assert names.count("solver.convergence_table") == 1
+    assert [span.attrs["depth"] for span in tracer.spans if span.name == "solver.solve"] == list(range(1, 17))
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)

@@ -141,6 +141,10 @@ class TestSolve:
             solve(3, tolerance=0.0)
         with pytest.raises(ValueError):
             solve(3, backend="magic")
+        with pytest.raises(TypeError, match="depth True is not an int"):
+            solve(True)
+        with pytest.raises(TypeError, match="depth 3.0 is not an int"):
+            solve(3.0)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
@@ -256,12 +260,24 @@ class TestConvergenceTable:
             convergence_table(0)
         with pytest.raises(DepthError):
             convergence_table(25)
+        with pytest.raises(TypeError, match="depth True is not an int"):
+            convergence_table(True)
+        with pytest.raises(TypeError, match="depth 2.0 is not an int"):
+            convergence_table(2.0)
 
     def test_dense_depth_checked_before_any_solve(self, monkeypatch):
         calls = []
         monkeypatch.setattr("benford2.solver.solve", lambda *a, **k: calls.append(a))
         with pytest.raises(DepthError):
             convergence_table(13, backend="dense")
+        assert calls == []
+
+    @pytest.mark.parametrize("tolerance", [0.0, math.nan])
+    def test_tolerance_checked_before_any_solve(self, monkeypatch, tolerance):
+        calls = []
+        monkeypatch.setattr("benford2.solver.solve", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="tolerance"):
+            convergence_table(20, tolerance=tolerance)
         assert calls == []
 
 
