@@ -1,9 +1,14 @@
 """Independent items of work spread over the CPUs this process may use.
 
 :func:`fan_out` yields ``work(0)``, ..., ``work(n - 1)`` in order, computing
-some of them in forked children.  ``solve`` formats its rows through it and
-``convergence_table`` solves its depths through it; both print exactly the
-bytes of computing every item in one process.
+some of them in forked children.  It has three callers: ``solve`` formats
+its rows through it, ``convergence_table`` solves its depths through it, and
+``verify`` (``analytic.run_suite``) runs its suites through it.  Each prints
+exactly the bytes of computing every item in one process.
+
+Before its first fork, :func:`fan_out` executes the modules that
+:mod:`benford2._lazy` deferred (numpy), so that no child imports numpy
+again; a call that forks nothing leaves them deferred.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import marshal
 import os
 import signal
 from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
+
+from benford2._lazy import load_deferred
 
 T = TypeVar("T")
 
@@ -43,8 +50,9 @@ def fan_out(work: Callable[[int], T], weights: Sequence[int], floor: int = 0) ->
     along the items, leaves the heaviest to the others.  Each other worker
     whose share weighs more than ``floor`` is a forked child that computes
     its items in order and marshals each ``(item, result)`` into its own
-    pipe; a lighter share stays here.  This process computes its own items
-    in order and reads a child's result when it reaches that child's item.
+    pipe as soon as it is computed; a lighter share stays here.  This
+    process computes its own items in order and reads a child's result when
+    it reaches that child's item.
     It computes any item whose result does not arrive (the child failed or
     could not be forked) itself, so errors are those of computing every
     item here.  Every child is killed and reaped when the generator
@@ -56,10 +64,11 @@ def fan_out(work: Callable[[int], T], weights: Sequence[int], floor: int = 0) ->
     owner, loads = _assign(weights, min(len(cpus), count))
     readers: dict[int, BinaryIO] = {}
     pids = []
+    children = [worker for worker, load in enumerate(loads) if worker != owner[0] and load > floor]
+    if children:
+        load_deferred()  # once here, not once in each child
     try:
-        for worker, load in enumerate(loads):
-            if worker == owner[0] or load <= floor:
-                continue
+        for worker in children:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -76,6 +85,7 @@ def fan_out(work: Callable[[int], T], weights: Sequence[int], floor: int = 0) ->
                         for item in range(count):
                             if owner[item] == worker:
                                 marshal.dump((item, work(item)), pipe)
+                                pipe.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)

@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from types import ModuleType
 
+_deferred: list[ModuleType] = []  # every module lazy_import registered, loaded or not
+
 
 def lazy_import(name: str) -> ModuleType:
     """Module ``name``, executed on its first attribute access.
@@ -22,4 +24,15 @@ def lazy_import(name: str) -> ModuleType:
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    _deferred.append(module)
     return module
+
+
+def load_deferred() -> None:
+    """Execute every module that :func:`lazy_import` deferred and nothing has used yet.
+
+    A process about to fork calls this, so that its children share the
+    loaded module instead of each executing it again.
+    """
+    for module in _deferred:
+        module.__name__  # the first attribute access executes a deferred module

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from benford2 import _fanout
 from benford2._lazy import lazy_import
 from benford2.dyadic import (
     MAX_COUNT_BITS,
@@ -292,13 +294,7 @@ def _check_matrix(reports: list[VerificationReport], oracle_depth: int, oracle_p
     )
 
 
-def _check_integral(
-    reports: list[VerificationReport],
-    depths: Sequence[int],
-    samples: int,
-    rng: random.Random,
-) -> None:
-    grid = _bit_grid(min(min(depths), 12), samples, rng)
+def _check_integral(reports: list[VerificationReport], depths: Sequence[int], grid: list[Bits]) -> None:
     errors_by_depth: dict[int, float] = {}
     for depth in depths:
         worst = 0.0
@@ -309,7 +305,7 @@ def _check_integral(
         reports.append(
             VerificationReport(
                 identity="riemann-vs-closed-form",
-                params=f"k={depth} grid of {samples + 3} targets",
+                params=f"k={depth} grid of {len(grid)} targets",
                 error=worst,
                 bound=8.0 * 2.0 ** (-depth),
             )
@@ -346,12 +342,7 @@ def _check_integral(
     )
 
 
-def _check_series(
-    reports: list[VerificationReport],
-    length: int,
-    samples: int,
-    rng: random.Random,
-) -> None:
+def _check_series(reports: list[VerificationReport], length: int, grid: list[Bits]) -> None:
     # Term R depends only on the first R bits, so a vector's partial sum is
     # its parent prefix's sum plus one term; walk the prefix tree depth-first.
     mismatches = 0
@@ -378,7 +369,7 @@ def _check_series(
 
     # tail bound toward the full limit 1/(2-t): |partial(R) - limit| <= 2^(1-R)
     worst_ratio = 0.0
-    for tb in _bit_grid(length, samples, rng):
+    for tb in grid:
         limit = 1 / (2 - truncate(tb, length))
         partial = Fraction(1, 2)
         for r in range(1, length + 1):
@@ -455,6 +446,15 @@ def run_suite(
     are derived from the budget, so shrunken budgets stay rigorous.
     Check failures are reported, never raised; an unknown suite or an
     out-of-range budget raises ``ValueError`` before any suite runs.
+
+    The selected suites are the items of :func:`benford2._fanout.fan_out`,
+    with equal weights, so on W CPUs suite i runs in worker i mod W; this
+    process is worker 0 and runs the first suite (matrix, under "all").
+    The series and integral grids are drawn from the seeded generator here,
+    in suite order, before any fork.  A suite sends back its reports as
+    ``(identity, params, error, bound)`` tuples of ``str`` and ``float``,
+    which marshal carries exactly, so the reports are those of running every
+    suite here.
     """
     choices = SUITES + ("all",)
     if which not in choices:
@@ -486,15 +486,24 @@ def run_suite(
             f"oracle_paddings must be >= 1 with oracle_depth + padding <= {MAX_COUNT_BITS}, "
             f"got {list(oracle_paddings)} at oracle_depth {oracle_depth}"
         )
+    # drawn here in suite order, so a suite run in a child checks the grid a
+    # one-CPU run draws
     rng = random.Random(seed)
-    reports: list[VerificationReport] = []
-    for name in selected:
+    grid_depths = {"series": series_length, "integral": min(min(riemann_depths), 12)}
+    grids = {name: _bit_grid(grid_depths[name], samples, rng) for name in selected if name in grid_depths}
+
+    def check(item: int) -> list[tuple[str, str, float, float]]:
+        reports: list[VerificationReport] = []
+        name = selected[item]
         if name == "matrix":
             _check_matrix(reports, oracle_depth, oracle_paddings)
         elif name == "integral":
-            _check_integral(reports, riemann_depths, samples, rng)
+            _check_integral(reports, riemann_depths, grids[name])
         elif name == "series":
-            _check_series(reports, series_length, samples, rng)
+            _check_series(reports, series_length, grids[name])
         elif name == "harmonic":
             _check_harmonic(reports, harmonic_levels)
-    return reports
+        return [astuple(report) for report in reports]
+
+    with closing(_fanout.fan_out(check, [1] * len(selected))) as suites:
+        return [VerificationReport(*fields) for suite in suites for fields in suite]

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -17,9 +18,11 @@ import pytest
 from conftest import DEPTH2_PRINTED
 
 import benford2
-from benford2 import _fanout, cli, solver
+from benford2 import _fanout, analytic, cli, solver
 from benford2.analytic import VerificationReport
 from benford2.solver import ConvergenceError, convergence_table, solve
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 VERIFY_QUICK = [
     "verify",
@@ -99,6 +102,12 @@ def spawn_peak_rss(*argv, timeout=120):
         time.sleep(0.05)
 
 
+def run_fresh(script):
+    """``python -c script`` in a fresh interpreter that imports benford2 from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -135,6 +144,44 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
     assert excinfo.value.code == 2
+
+
+def test_fan_out_loads_numpy_once_before_forking():
+    # numpy stays deferred after import benford2; a child reads its type
+    # before touching it, so "module" there means it was loaded before the fork
+    script = """
+import os, sys
+from benford2 import _fanout
+
+def kind(item):
+    return type(sys.modules["numpy"]).__name__
+
+os.sched_getaffinity = lambda pid: {0, 1}
+print(list(_fanout.fan_out(kind, [1])), kind(0))
+print(list(_fanout.fan_out(kind, [1, 1])))
+"""
+    result = run_fresh(script)
+    assert result.stderr == ""
+    assert result.stdout == "['_LazyModule'] _LazyModule\n['module', 'module']\n"
+
+
+def test_child_result_arrives_before_its_next_item(monkeypatch, forks):
+    # the child runs items 1 and 3; this process must get item 1 while the
+    # child is still on item 3, not only once the child has finished
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+
+    def work(item):
+        if item == 3 and os.getpid() != parent:
+            time.sleep(10)
+        return item
+
+    start = time.monotonic()
+    with contextlib.closing(_fanout.fan_out(work, [1] * 4)) as results:
+        assert [next(results), next(results)] == [0, 1]
+        assert time.monotonic() - start < 5
+    assert len(forks) == 1
+    assert_no_children()
 
 
 class TestSolveCommand:
@@ -505,6 +552,109 @@ class TestVerifyCommand:
         assert code == 1
         assert out.startswith("FAIL demo")
 
+    @pytest.mark.parametrize(
+        "case", ["", "--seed 7", "--seed 123", "smoke", "smoke --out", "--suite integral", "--suite series"]
+    )
+    def test_fan_out_keeps_bytes(self, capsys, monkeypatch, tmp_path, forks, case):
+        argv = ["verify", *case.split()]
+        if case.startswith("smoke"):
+            monkeypatch.syspath_prepend(str(PERFBENCH))
+            workloads = importlib.import_module("workloads")
+            argv = workloads.commands("verify_all", analytic.DEFAULT_SEED, smoke=True)[0] + argv[2:]
+        target = tmp_path / "out.txt"
+        if case.endswith("--out"):
+            argv.append(str(target))
+        suites = 1 if "--suite" in case else len(analytic.SUITES)
+
+        def run(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            del forks[:]
+            code, out, err = run_cli(capsys, *argv)
+            written = target.read_text() if case.endswith("--out") else None
+            return code, out, err, written, len(forks)
+
+        single = run({0})
+        assert single[0] == 0 and single[4] == 0
+        for cpus in ({0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
+            assert run(cpus) == single[:4] + (min(len(cpus), suites) - 1,)
+            assert_no_children()
+
+    @pytest.mark.parametrize("failure", ["child-only", "everywhere"])
+    def test_failed_child_falls_back(self, capsys, monkeypatch, forks, failure):
+        # series is suite 1, which the child runs on two CPUs.  "child-only":
+        # it raises there alone, so this process runs it; "everywhere": it
+        # raises here too, and the error is the one-CPU run's
+        check, parent = analytic._check_series, os.getpid()
+
+        def flaky(*args):
+            if failure == "everywhere" or os.getpid() != parent:
+                raise ValueError("the series suite failed")
+            check(*args)
+
+        def run(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            try:
+                return run_cli(capsys, *VERIFY_QUICK)
+            except SystemExit as exc:
+                return exc.code, *capsys.readouterr()
+
+        monkeypatch.setattr(analytic, "_check_series", flaky)
+        single = run({0})
+        assert run({0, 1}) == single
+        if failure == "child-only":
+            assert (single[0], single[2]) == (0, "")
+        else:
+            assert single[0] == 2 and single[2].endswith("error: the series suite failed\n")
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_no_child_outlives_interrupt(self, monkeypatch, forks):
+        def interrupted(*args):  # in this process, while the child runs series
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(analytic, "_check_matrix", interrupted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(VERIFY_QUICK)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_process_runs_only_its_own_suites(self, capsys, monkeypatch):
+        # a suite whose reports marshal refused (a Fraction, say) would be run
+        # here again, and its speed-up lost without a visible failure
+        ran = []
+        for name in analytic.SUITES:
+
+            def recorded(*args, check=getattr(analytic, f"_check_{name}"), name=name):
+                ran.append(name)  # a child's appends stay in the child
+                check(*args)
+
+            monkeypatch.setattr(analytic, f"_check_{name}", recorded)
+        own = {1: list(analytic.SUITES), 2: ["matrix", "integral"], 3: ["matrix", "harmonic"], 4: ["matrix"]}
+        for cpus, suites in own.items():
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            del ran[:]
+            assert run_cli(capsys, *VERIFY_QUICK)[0] == 0
+            assert ran == suites
+        assert_no_children()
+
+    def test_series_suite_forks_nothing_and_never_loads_numpy(self):
+        script = """
+import contextlib, io, os, sys
+from benford2 import cli
+
+def no_fork():
+    raise AssertionError("verify --suite series forked")
+
+os.sched_getaffinity, os.fork = (lambda pid: {0, 1, 2, 3}), no_fork
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["verify", "--suite", "series"])
+print(code, len(out.getvalue().splitlines()), "numpy._core" in sys.modules)
+"""
+        result = run_fresh(script)
+        assert result.stderr == ""
+        assert result.stdout == "0 2 False\n"
+
 
 class TestEmpiricalCommand:
     def test_rearranged_demo(self, capsys):
@@ -596,10 +746,7 @@ with contextlib.redirect_stdout(out):
     code = cli.main(["solve", "--k", "3"])
 print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
+        result = run_fresh(script)
         assert result.stderr == ""
         assert result.stdout == f"0 {PINNED_STDOUT['solve --k 3']}\n"
 

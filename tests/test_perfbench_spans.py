@@ -61,3 +61,32 @@ def test_traced_table_forks_and_keeps_bytes(monkeypatch, capsys):
     assert [span.attrs["depth"] for span in tracer.spans if span.name == "solver.solve"] == list(range(1, 17))
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_traced_verify_forks_and_keeps_counts(monkeypatch, capsys):
+    # matrix is suite 0, so it runs in this process and the tracer counts
+    # its oracle calls; the child's series and harmonic count nothing
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    argv = workloads.commands("verify_all", workloads.DEFAULT_SEED, smoke=True)[0]
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(None) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def traced(argv):
+        tracer = spans.Tracer()
+        with spans.patched(spans.instrument(tracer, cli, solver, transition, analytic, empirical)):
+            assert cli.main(argv) == 0
+        return spans.layer_metrics(tracer.spans), capsys.readouterr().out
+
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    metrics, out = traced(argv)
+    assert out == untraced and len(forked) == 2
+    matrix, _ = traced([word if word != "all" else "matrix" for word in argv])
+    assert len(forked) == 2  # one suite forks nothing
+    assert metrics["transition.brute_force_element_calls"] == matrix["transition.brute_force_element_calls"] > 0
+    assert metrics["analytic.checks"] == len(untraced.splitlines())
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
