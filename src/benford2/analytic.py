@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from benford2 import _fanout
-from benford2._lazy import lazy_import
+from benford2._lazy import lazy_import, load_deferred
 from benford2.dyadic import (
     MAX_COUNT_BITS,
     MAX_DUMP_DEPTH,
@@ -505,5 +505,7 @@ def run_suite(
             _check_harmonic(reports, harmonic_levels)
         return [astuple(report) for report in reports]
 
+    if len(selected) > 1:
+        load_deferred()  # numpy: once here before any fork, not once in each child
     with closing(_fanout.fan_out(check, [1] * len(selected))) as suites:
         return [VerificationReport(*fields) for suite in suites for fields in suite]

@@ -12,6 +12,20 @@ and only then is the term recomputed from the exact integer.  Blocks are
 counted as integer values, named as digit strings only in the report, and
 compared against the reference law log_base(1 + 1/block).
 
+Powers of 3 and Fibonacci numbers are generated in contiguous ranges of
+terms on every CPU this process may use.  A range continues from the
+window its predecessor ended with when that ran in the same process (so
+one CPU does the work of one window), and otherwise resumes from the
+exact term before it, 3^(lo-1) or F(lo-2) and F(lo-1), rounded down once.
+The guard still counts the steps from the first term: i - 1 for 3^i (the
+first step, 3 * 1, is exact) and max(i - 2, 0) for F(i).  A seed drifts
+no more than one step does, so by term i a window resumed at term lo has
+drifted at most as much as i - lo + 2 steps, which is no more than the
+guard counts once lo >= 3 (pow3) or lo >= 4 (Fibonacci).  Every range
+after the first starts past term 2^(CHUNK_BITS - 1), and the guard's fixed
+2^-50 alone covers thousands of steps besides.  The blocks are the exact
+ones either way; only which terms fall back can differ.
+
 The rearrangement demonstration shows why these frequencies are a property
 of ordering rather than cardinality: interleaving the naturals so that
 every other term is a multiple of four doubles the occurrence frequency of
@@ -23,9 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from benford2 import _fanout
 from benford2.dyadic import MAX_REPORT_ROWS, DepthError
 from benford2.solver import benford_reference
 
@@ -135,76 +151,136 @@ def leading_block(value: int, block_digits: int, base: int = 2) -> int:
     return value // base ** (total - keep)
 
 
-def _normalize(mantissa: int, exponent: int, base: int) -> tuple[int, int]:
-    top = base * _ONE
+def _normalize(mantissa: int, exponent: int, base: int, top: int) -> tuple[int, int]:
+    """``mantissa`` divided down by ``base`` below ``top`` (``base * _ONE``), each division rounding down."""
     while mantissa >= top:
         mantissa //= base
         exponent += 1
     return mantissa, exponent
 
 
-def _window_block(mantissa: int, exponent: int, steps: int, block_digits: int, base: int) -> int:
+def _window_block(mantissa: int, exponent: int, steps: int, block_digits: int, scale: int) -> int:
     """Leading block value from the window, or 0 when only the exact term can tell.
 
-    The window never exceeds the true term (every step rounds down) and
-    trails it by less than the guard, which widens with the step count.  So
-    only a significand within the guard below the next block boundary can
-    belong to a term past it; one on or just above a boundary cannot.
+    ``scale`` is ``base**block_digits``.  The window never exceeds the true
+    term (every step rounds down) and trails it by less than the guard,
+    which widens with the step count.  So only a significand within the
+    guard below the next block boundary can belong to a term past it; one
+    on or just above a boundary cannot.
     """
     if exponent < block_digits:  # fewer digits than requested: term is small
         return 0
-    scaled = mantissa * base**block_digits
+    scaled = mantissa * scale
     guard = (scaled >> 50) + ((steps * scaled) >> 62) + 1
     if _ONE - (scaled & (_ONE - 1)) < guard:
         return 0
     return scaled >> _FRACTION_BITS
 
 
-def _fib(n: int) -> int:
-    """Exact Fibonacci number by fast doubling (F(1) = F(2) = 1)."""
+def _fib_pair(n: int) -> tuple[int, int]:
+    """Exact Fibonacci numbers (F(n), F(n + 1)) by fast doubling (F(1) = F(2) = 1)."""
+    if n == 0:
+        return 0, 1
+    a, b = _fib_pair(n >> 1)
+    c = a * (2 * b - a)
+    d = a * a + b * b
+    return (d, c + d) if n & 1 else (c, d)
 
-    def pair(m: int) -> tuple[int, int]:
-        if m == 0:
-            return 0, 1
-        a, b = pair(m >> 1)
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        return (d, c + d) if m & 1 else (c, d)
 
-    return pair(n)[0]
+def _seed(value: int, base: int) -> tuple[int, int]:
+    """The window of ``value``: its significand rounded down once, and its exponent."""
+    exponent = _digit_count(value, base) - 1
+    return (value << _FRACTION_BITS) // base**exponent, exponent
 
 
 def _product_blocks(
-    count: int,
+    lo: int,
+    hi: int,
+    window: tuple[int, int],
     block_digits: int,
     base: int,
-    factor: Callable[[int], int],
+    factors: Iterable[int],
     exact: Callable[[int], int],
-) -> list[int]:
+) -> tuple[list[int], tuple[int, int]]:
+    """Blocks of terms lo, ..., hi - 1 of a running product, and the window of term hi - 1.
+
+    ``window`` is the window of term lo - 1, and ``factors`` the factors of
+    terms lo, ... in order.
+    """
     blocks = []
-    mantissa, exponent = _ONE, 0
-    for i in range(1, count + 1):
-        mantissa, exponent = _normalize(mantissa * factor(i), exponent, base)
+    mantissa, exponent = window
+    top, scale = base * _ONE, base**block_digits
+    for i, factor in zip(range(lo, hi), factors):
+        mantissa, exponent = _normalize(mantissa * factor, exponent, base, top)
         blocks.append(
-            _window_block(mantissa, exponent, i - 1, block_digits, base)
+            _window_block(mantissa, exponent, i - 1, block_digits, scale)
             or leading_block(exact(i), block_digits, base)
         )
-    return blocks
+    return blocks, (mantissa, exponent)
 
 
-def _fibonacci_blocks(count: int, block_digits: int, base: int) -> list[int]:
+def _pow3_blocks(
+    lo: int, hi: int, window: tuple[int, int] | None, block_digits: int, base: int
+) -> tuple[list[int], tuple[int, int]]:
+    """Blocks of 3^lo, ..., 3^(hi - 1), and the window of 3^(hi - 1).
+
+    They start from ``window``, that of 3^(lo - 1), or from 3^(lo - 1)
+    itself when it is None.
+    """
+    if window is None:
+        window = _seed(3 ** (lo - 1), base)
+    return _product_blocks(lo, hi, window, block_digits, base, itertools.repeat(3), lambda i: 3**i)
+
+
+def _fibonacci_blocks(
+    lo: int, hi: int, windows: tuple | None, block_digits: int, base: int
+) -> tuple[list[int], tuple]:
+    """Blocks of F(lo), ..., F(hi - 1), and the windows of F(hi - 2) and F(hi - 1).
+
+    They start from ``windows``, those of F(lo - 2) and F(lo - 1), or from
+    those exact terms when it is None.  Below term 3 both windows are that
+    of F(1) = F(2) = 1, and no step is taken until term 3.
+    """
+    if windows is None:
+        windows = tuple(_seed(term, base) for term in (_fib_pair(lo - 2) if lo > 2 else (1, 1)))
     blocks = []
-    prev = cur = _normalize(_ONE, 0, base)  # F(1) = F(2) = 1
-    for i in range(1, count + 1):
+    (pm, pe), (cm, ce) = windows
+    top, scale = base * _ONE, base**block_digits
+    for i in range(lo, hi):
         if i > 2:
-            (pm, pe), (cm, ce) = prev, cur
-            prev, cur = cur, _normalize(cm + pm // base ** (ce - pe), ce, base)
-        mantissa, exponent = cur
+            pm, pe, (cm, ce) = cm, ce, _normalize(cm + pm // base ** (ce - pe), ce, base, top)
         blocks.append(
-            _window_block(mantissa, exponent, max(i - 2, 0), block_digits, base)
-            or leading_block(_fib(i), block_digits, base)
+            _window_block(cm, ce, max(i - 2, 0), block_digits, scale)
+            or leading_block(_fib_pair(i)[0], block_digits, base)
         )
-    return blocks
+    return blocks, ((pm, pe), (cm, ce))
+
+
+def _ranged_blocks(blocks_of: Callable, count: int, block_digits: int, base: int) -> list[int]:
+    """Blocks of terms 1, ..., ``count`` by ``blocks_of``, in ranges spread over the CPUs.
+
+    The ⌈count / 2^CHUNK_BITS⌉ ranges, equal to within a term, are the items of
+    :func:`benford2._fanout.fan_out`, weighted by their term counts, so a
+    count up to 2^CHUNK_BITS is one range and forks nothing.  Two or more
+    ranges hold at least 2^(CHUNK_BITS - 1) terms each, tens of
+    milliseconds of work against about one for a fork, so no share is kept
+    back by a floor.  A range whose predecessor ran in the same process
+    continues from that range's last window; any other starts from the
+    exact term before it.
+    """
+    ranges = -(-count >> _fanout.CHUNK_BITS)
+    bounds = [1 + count * r // ranges for r in range(ranges + 1)]
+    resume: tuple[int, object] | None = None  # the next range and the window it continues from
+
+    def work(item: int) -> list[int]:
+        nonlocal resume
+        window = resume[1] if resume and resume[0] == item else None
+        blocks, window = blocks_of(bounds[item], bounds[item + 1], window, block_digits, base)
+        resume = item + 1, window
+        return blocks
+
+    with closing(_fanout.fan_out(work, [hi - lo for lo, hi in zip(bounds, bounds[1:])])) as parts:
+        return list(itertools.chain.from_iterable(parts))
 
 
 def rearranged_sequence(count: int) -> list[int]:
@@ -220,14 +296,19 @@ def rearranged_sequence(count: int) -> list[int]:
 
 
 def generate_blocks(spec: SequenceSpec) -> list[int]:
-    """Leading blocks of the first ``spec.count`` terms of the family."""
+    """Leading blocks of the first ``spec.count`` terms of the family.
+
+    pow3 and fibonacci are generated in ranges on every CPU this process may
+    use (see the module docstring); the list is that of one window run from
+    the first term.
+    """
     j, base, n = spec.block_bits, spec.base, spec.count
     if spec.family == "pow3":
-        return _product_blocks(n, j, base, lambda i: 3, lambda i: 3**i)
-    if spec.family == "factorial":
-        return _product_blocks(n, j, base, lambda i: i, math.factorial)
+        return _ranged_blocks(_pow3_blocks, n, j, base)
     if spec.family == "fibonacci":
-        return _fibonacci_blocks(n, j, base)
+        return _ranged_blocks(_fibonacci_blocks, n, j, base)
+    if spec.family == "factorial":  # one range: an exact (lo - 1)! costs about as much as the steps it saves
+        return _product_blocks(1, n + 1, (_ONE, 0), j, base, range(1, n + 1), math.factorial)[0]
     return [leading_block(v, j, base) for v in rearranged_sequence(n)]
 
 

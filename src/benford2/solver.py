@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from benford2 import _fanout
-from benford2._lazy import lazy_import
+from benford2._lazy import lazy_import, load_deferred
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_VECTOR_DEPTH,
@@ -179,6 +179,7 @@ def convergence_table(
     _check_arguments(max_depth, backend, tolerance)
     reference = math.log2(1.5)
     depths = range(1, max_depth + 1)
+    load_deferred()  # numpy: once here before any fork, not once in each child
     p10s = _fanout.fan_out(
         lambda i: solve(depths[i], tolerance=tolerance, backend=backend).p10,
         [1 << depth for depth in depths],

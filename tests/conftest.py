@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import benford2
 from benford2.solver import convergence_table
 
 # (criterion number, title, passed, detail) tuples recorded by the
@@ -24,6 +29,32 @@ DEPTH2_MARGINAL_PRINTED = (0.5779, 0.4221)
 def table10():
     """Convergence table through depth 10, shared across test modules."""
     return convergence_table(10)
+
+
+def run_fresh(script):
+    """``python -c script`` in a fresh interpreter that imports benford2 from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(benford2.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that ``os.fork`` makes in this process."""
+    made, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,11 +11,12 @@ import signal
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from conftest import DEPTH2_PRINTED
+from conftest import DEPTH2_PRINTED, assert_no_children, run_fresh
 
 import benford2
 from benford2 import _fanout, analytic, cli, solver
@@ -102,32 +103,6 @@ def spawn_peak_rss(*argv, timeout=120):
         time.sleep(0.05)
 
 
-def run_fresh(script):
-    """``python -c script`` in a fresh interpreter that imports benford2 from this tree."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children that ``os.fork`` makes in this process."""
-    made, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return made
-
-
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
 def test_pinned_stdout(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
@@ -147,22 +122,53 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_fan_out_loads_numpy_once_before_forking():
-    # numpy stays deferred after import benford2; a child reads its type
-    # before touching it, so "module" there means it was loaded before the fork
+    # table1 and verify --suite all load numpy before fan_out forks; a child
+    # reports numpy's type before its item touches it, so "module" there
+    # means it was loaded before the fork, once for every child
     script = """
-import os, sys
-from benford2 import _fanout
+import contextlib, io, os, sys
+from benford2 import _fanout, cli
 
-def kind(item):
-    return type(sys.modules["numpy"]).__name__
+fan_out, parent = _fanout.fan_out, os.getpid()
 
+def reporting(work, weights, floor=0):
+    def work_and_report(item):
+        if os.getpid() != parent:
+            os.write(2, type(sys.modules["numpy"]).__name__.encode() + b" ")
+        return work(item)
+
+    return fan_out(work_and_report, weights, floor)
+
+_fanout.fan_out = reporting
 os.sched_getaffinity = lambda pid: {0, 1}
-print(list(_fanout.fan_out(kind, [1])), kind(0))
-print(list(_fanout.fan_out(kind, [1, 1])))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(%r)
+print(code)
 """
-    result = run_fresh(script)
-    assert result.stderr == ""
-    assert result.stdout == "['_LazyModule'] _LazyModule\n['module', 'module']\n"
+    # table1 --kmax 17: the child solves depth 17; verify: it runs series and harmonic
+    for argv, reports in [(["table1", "--kmax", "17"], 1), (VERIFY_QUICK, 2)]:
+        result = run_fresh(script % argv)
+        assert (result.stdout, result.stderr) == ("0\n", "module " * reports)
+
+
+@pytest.mark.parametrize(
+    "value", [np.float64(0.1), bytearray(b"ab"), array("q", [1, 2])], ids=lambda value: type(value).__name__
+)
+def test_fan_out_leaves_what_marshal_changes_to_the_process(monkeypatch, forks, value):
+    # marshal writes these three as bytes; the child leaves item 1 to this
+    # process and still sends item 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, here = os.getpid(), []
+
+    def work(item):
+        if os.getpid() == parent:
+            here.append(item)
+        return value if item == 1 else item
+
+    results = list(_fanout.fan_out(work, [1] * 4))
+    assert results == [0, value, 2, 3] and type(results[1]) is type(value)
+    assert here == [0, 1, 2] and len(forks) == 1
+    assert_no_children()
 
 
 def test_child_result_arrives_before_its_next_item(monkeypatch, forks):
@@ -317,11 +323,12 @@ class TestSolveCommand:
             monkeypatch.setattr(os, "fork", no_fork)
         else:
             garbage = {"bad-frame": b"\x00", "not-a-str": marshal.dumps(b"bytes")}[failure]
+            frame = _fanout._frame
 
-            def dump(value, file):
-                file.write(garbage if os.getpid() != parent else marshal.dumps(value))
+            def garbage_frame(item, result):
+                return garbage if os.getpid() != parent else frame(item, result)
 
-            monkeypatch.setattr(_fanout, "marshal", SimpleNamespace(dump=dump, load=marshal.load))
+            monkeypatch.setattr(_fanout, "_frame", garbage_frame)
         code, out, err = run_cli(capsys, "solve", "--k", "5")
         assert (code, out, err) == (0, whole, "")
         assert_no_children()

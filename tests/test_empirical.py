@@ -1,14 +1,16 @@
 import itertools
 import math
 import operator
+import os
 import random
 import re
 
 import pytest
+from conftest import assert_no_children, run_fresh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benford2 import empirical
+from benford2 import _fanout, cli, empirical
 from benford2.dyadic import MAX_REPORT_ROWS, DepthError
 from benford2.empirical import (
     _ONE,
@@ -140,8 +142,9 @@ class TestGenerateBlocks:
         assert generate_blocks(spec) == expected
 
     @pytest.mark.parametrize("base", [3, 9])
-    def test_exact_window_needs_no_fallback(self, base, monkeypatch):
+    def test_exact_window_needs_no_fallback(self, base, monkeypatch, forks):
         # pow3's window is exact in these bases: only terms too short for a block need 3**i
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         calls = []
 
         def counting(*args):
@@ -152,6 +155,7 @@ class TestGenerateBlocks:
         generate_blocks(SequenceSpec("pow3", count=20_000, block_bits=3, base=base))
         small_terms = sum(1 for i in range(1, 20) if 3**i < base**3)  # fewer than 4 digits
         assert len(calls) == small_terms
+        assert forks == []  # one range: every call was counted here
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -175,6 +179,132 @@ class TestGenerateBlocks:
         assert FAMILIES == ("pow3", "fibonacci", "factorial", "rearranged")
 
 
+class TestRanges:
+    """pow3 and fibonacci in ranges of terms on every CPU, each resumed from an exact term."""
+
+    MASKS = [set(range(cpus)) for cpus in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize(
+        "family, count, base, bits",
+        [
+            ("pow3", (1 << 16) - 1, 2, 3),
+            ("pow3", (1 << 16) + 1, 3, 0),
+            ("pow3", (2 << 16) + 1, 10, 1),
+            ("pow3", (3 << 16) + 1, 36, 1),
+            ("fibonacci", (1 << 16) - 1, 36, 0),
+            ("fibonacci", (1 << 16) + 1, 10, 3),
+            ("fibonacci", (2 << 16) + 1, 3, 1),
+            ("fibonacci", (3 << 16) + 1, 2, 1),
+        ],
+    )
+    def test_fan_out_keeps_blocks_and_stdout(self, capsys, monkeypatch, forks, family, count, base, bits):
+        generate, generated = empirical.generate_blocks, []
+
+        def recorded(spec):
+            generated.append(generate(spec))
+            return generated[-1]
+
+        monkeypatch.setattr(empirical, "generate_blocks", recorded)
+        argv = ["empirical", "--family", family, "--n", str(count), "--bits", str(bits), "--base", str(base)]
+        ranges = -(-count >> 16)
+        outputs = []
+        for cpus in self.MASKS:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            del forks[:]
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr())
+            assert len(forks) == min(len(cpus), ranges) - 1
+        assert all(blocks == generated[0] for blocks in generated) and len(generated[0]) == count
+        assert all(output == outputs[0] for output in outputs)
+        assert_no_children()
+
+    @pytest.mark.parametrize("family", ["pow3", "fibonacci"])
+    @pytest.mark.parametrize("base", [2, 3, 10, 36])
+    @pytest.mark.parametrize("bits", [0, 1, 3])
+    def test_resumed_windows_agree_with_exact(self, monkeypatch, forks, family, base, bits):
+        # 2^10-term chunks: 3 * 2^10 + 1 terms are four ranges, three of them
+        # resumed from an exact term on four CPUs
+        count = (3 << 10) + 1
+        expected = [leading_block(v, bits, base) for v in exact_terms(family, count)]
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert generate_blocks(SequenceSpec(family, count, bits, base)) == expected
+        assert len(forks) == 3
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus, seeds", [({0}, [1]), ({0, 1}, [1, (2 << 10) + 1]), ({0, 1, 2, 3}, [1])])
+    def test_range_after_one_run_here_continues_its_window(self, monkeypatch, forks, cpus, seeds):
+        # four ranges: this process seeds its first range, and any other whose
+        # predecessor ran in a child (range 2 on two CPUs)
+        seed, seeded = empirical._seed, []
+        monkeypatch.setattr(empirical, "_seed", lambda value, base: seeded.append(value) or seed(value, base))
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        spec = SequenceSpec("pow3", 4 << 10, 3, 10)
+        assert generate_blocks(spec) == [leading_block(v, 3, 10) for v in exact_terms("pow3", spec.count)]
+        assert seeded == [3 ** (lo - 1) for lo in seeds]
+        assert len(forks) == len(cpus) - 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("failure", ["raises", "raises-late"])
+    def test_failed_child_falls_back(self, monkeypatch, forks, failure):
+        # the child runs ranges 1 and 3; "raises-late": it sends range 1, then fails
+        spec = SequenceSpec("pow3", 4 << 10, 3, 10)
+        expected = [leading_block(v, 3, 10) for v in exact_terms("pow3", spec.count)]
+        pow3, parent = empirical._pow3_blocks, os.getpid()
+
+        def flaky(lo, *args):
+            if os.getpid() != parent and (failure == "raises" or lo > 2 << 10):
+                raise RuntimeError("the range failed in the child")
+            return pow3(lo, *args)
+
+        monkeypatch.setattr(empirical, "_pow3_blocks", flaky)
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert generate_blocks(spec) == expected
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_no_child_outlives_interrupt(self, monkeypatch, forks):
+        pow3 = empirical._pow3_blocks
+
+        def interrupted(lo, *args):
+            if lo == 1:  # in this process, while the child runs range 1
+                raise KeyboardInterrupt
+            return pow3(lo, *args)
+
+        monkeypatch.setattr(empirical, "_pow3_blocks", interrupted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(KeyboardInterrupt):
+            generate_blocks(SequenceSpec("pow3", (1 << 16) + 1))
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_forking_run_never_loads_numpy(self):
+        # numpy._core appears only once numpy runs; each child reports before its range
+        script = """
+import contextlib, io, os, sys
+from benford2 import _fanout, cli, empirical
+
+pow3, parent = empirical._pow3_blocks, os.getpid()
+
+def reporting(*args):
+    if os.getpid() != parent:
+        os.write(2, f"{'numpy._core' in sys.modules} ".encode())
+    return pow3(*args)
+
+empirical._pow3_blocks = reporting
+_fanout.CHUNK_BITS = 8
+os.sched_getaffinity = lambda pid: {0, 1}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["empirical", "--family", "pow3", "--n", "1000", "--bits", "2"])
+print(code, "numpy._core" in sys.modules)
+"""
+        result = run_fresh(script)
+        # four ranges: the child runs ranges 1 and 3
+        assert (result.stdout, result.stderr) == ("0 False\n", "False False ")
+
+
 class TestWindow:
     def test_normalize_rounds_down(self):
         # the one-sided guard rests on this: the window never exceeds the true term
@@ -183,26 +313,36 @@ class TestWindow:
             base = rng.randrange(2, 37)
             mantissa = rng.randrange(1, _ONE * base ** rng.randrange(1, 40))
             exponent = rng.randrange(0, 100)
-            normalized, new_exponent = _normalize(mantissa, exponent, base)
+            normalized, new_exponent = _normalize(mantissa, exponent, base, base * _ONE)
             shift = new_exponent - exponent
             assert _ONE <= normalized < base * _ONE or shift == 0
             assert normalized * base**shift <= mantissa < (normalized + 1) * base**shift
+
+    def test_seed_rounds_down(self):
+        # a resumed range starts from this window of an exact term
+        rng = random.Random(197)
+        for _ in range(500):
+            base = rng.randrange(2, 37)
+            value = rng.randrange(1, base ** rng.randrange(1, 400))
+            mantissa, exponent = empirical._seed(value, base)
+            assert _ONE <= mantissa < base * _ONE
+            assert mantissa * base**exponent <= value * _ONE < (mantissa + 1) * base**exponent
 
     @pytest.mark.parametrize("steps", [0, 1000])
     def test_block_on_boundary_is_kept(self, steps):
         # 1.5 in base 2, two digits: scaled significand 3 * _ONE, on the boundary of block 0b11
         assert _window_block(3 * _ONE // 2, 5, steps, 1, 2) == 0b11
         assert _window_block(3 * _ONE // 2 + 1, 5, steps, 1, 2) == 0b11
-        assert _window_block(2 * _ONE, 5, steps, 0, 10) == 2
+        assert _window_block(2 * _ONE, 5, steps, 0, 1) == 2
         # the guard here is under 2^16, so this is clear of the boundary above
-        assert _window_block(3 * _ONE - (1 << 20), 5, steps, 0, 10) == 2
+        assert _window_block(3 * _ONE - (1 << 20), 5, steps, 0, 1) == 2
 
     @pytest.mark.parametrize("steps", [0, 1000])
     def test_block_within_guard_of_next_boundary_falls_back(self, steps):
         assert _window_block(2 * _ONE - 1, 5, steps, 1, 2) == 0
-        assert _window_block(3 * _ONE - 1, 5, steps, 0, 10) == 0
+        assert _window_block(3 * _ONE - 1, 5, steps, 0, 1) == 0
         # the guard is at least scaled >> 50, which is 3 << 14 here
-        assert _window_block(3 * _ONE - (1 << 15), 5, steps, 0, 10) == 0
+        assert _window_block(3 * _ONE - (1 << 15), 5, steps, 0, 1) == 0
 
     def test_small_term_falls_back(self):
         assert _window_block(3 * _ONE // 2, 0, 0, 1, 2) == 0

@@ -90,3 +90,31 @@ def test_traced_verify_forks_and_keeps_counts(monkeypatch, capsys):
     assert metrics["analytic.checks"] == len(untraced.splitlines())
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_traced_empirical_forks_and_keeps_fallbacks(monkeypatch, capsys):
+    # pow3 and fibonacci each fork a child for their ranges 1 and 3, whose
+    # fallbacks are not counted; the workload's 9 fall in the first range
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    commands = workloads.commands("empirical_seq", workloads.DEFAULT_SEED)
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(None) or fork())
+
+    def run(cpus, traced):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        tracer = spans.Tracer()
+        targets = spans.instrument(tracer, cli, solver, transition, analytic, empirical) if traced else []
+        with spans.patched(targets):
+            for argv in commands:
+                assert cli.main(argv) == 0
+        return spans.layer_metrics(tracer.spans)["empirical.fallbacks"], capsys.readouterr().out
+
+    fallbacks, out = run({0}, traced=True)
+    assert fallbacks == 9 and forked == []
+    assert run({0, 1}, traced=True) == (fallbacks, out)
+    assert len(forked) == 2
+    assert run({0, 1}, traced=False)[1] == out
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
