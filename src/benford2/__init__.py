@@ -13,7 +13,6 @@ from benford2.analytic import (
     VerificationReport,
     harmonic_block_sum,
     normalization_check,
-    riemann_sum,
     run_suite,
     series_partial_sum,
     term_value_by_endpoints,
@@ -92,7 +91,6 @@ __all__ = [
     "pack_bits",
     "rearranged_sequence",
     "rearrangement_demo",
-    "riemann_sum",
     "run_suite",
     "series_partial_sum",
     "solve",

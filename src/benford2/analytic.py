@@ -1,8 +1,9 @@
 """Numerical verification of the analytic limit of the block recursion.
 
-The depth-k transition operator has an explicit limiting behaviour: feeding
-it the trial weights 1/(1+a) turns the image at target x into a Riemann sum
-of (1 + [a > x]) / (1+a)^2 over the dyadic grid, whose limit is 1/(1+x).
+The depth-k transition operator has an explicit limiting behaviour: the
+kernel's image of the trial weights 1/(1+a) at target x is a Riemann sum of
+(1 + [a > x]) / (1+a)^2 over the dyadic grid, whose limit is 1/(1+x), the
+trial weight itself.
 Expanding the excess indicator term by term converts that integral into a
 telescoping series for 1/(2-t) with t = 1-x, exact at every finite order in
 rational arithmetic.  Summing the trial weights over a block's extensions
@@ -12,8 +13,10 @@ reference law.
 
 Each identity here is checked against an independent closed form, with an
 explicit error bound derived from the budget (grid depth, series order,
-harmonic level).  Results are reported, never raised, so a whole suite can
-run to completion and be summarized.
+harmonic level), on the program's own kernel ``apply_fast``, dense matrix
+``build_dense`` and reference law ``benford_reference``.  Results are
+reported, never raised, so a whole suite can run to completion and be
+summarized.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from benford2.dyadic import (
     DepthError,
     as_block_value,
     excess_population,
-    pack_bits,
     truncate,
     unpack_bits,
     validate_bits,
 )
-from benford2.transition import brute_force_element, matrix_element_exact
+from benford2.solver import benford_reference
+from benford2.transition import apply_fast, brute_force_element, build_dense, matrix_element_exact
 
 np = lazy_import("numpy")
 
@@ -51,14 +54,12 @@ MAX_HARMONIC_LEVEL = 26
 # harmonic_block_sum builds its terms 2^12 at a time; a whole 2^26-term
 # array would take 512 MB
 HARMONIC_CHUNK = 1 << 12
-# Each random sample costs about 2 ms in the integral and series suites at
-# the default budgets, so the cap keeps that share near 2 s.
+# A random sample costs 0.4 to 0.55 ms in the series suite at the default
+# length, so the cap keeps that share near 0.5 s.
 MAX_SAMPLES = 1 << 10
-# The integral suite sums (samples + 3) * sum(2^depth) grid terms at 20 to
-# 32 ns each (a 2^22-term riemann_sum took 0.084 to 0.136 s), so the cap
-# keeps that suite within 2.7 to 4.3 s.  It is the least power of two that
-# admits MAX_SAMPLES at the default depths (8.9e7 terms; the defaults make
-# 9.6e5).
+# The integral suite makes one apply_fast call per depth, 8 to 13 ns a term
+# at depths 16 to 22, so a cap on sum(2^depth) keeps it near 1.1 to 1.7 s;
+# eight depths of 24 are at the cap, and the defaults make 8.7e4 terms.
 MAX_INTEGRAL_TERMS = 1 << 27
 DEFAULT_SEED = 20260809
 
@@ -79,25 +80,6 @@ class VerificationReport:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.identity} {self.params} err={self.error!r} bound={self.bound!r}"
-
-
-def riemann_sum(x: Iterable[int], depth: int) -> float:
-    """Grid sum of (1 + [a > x]) / (1+a)^2 over all depth-k dyadic a.
-
-    ``x`` is zero-extended to the grid depth.  As the depth grows the sum
-    approaches 1/(1 + x); the left-endpoint discretization plus the single
-    straddled jump keep the error below 8 * 2^-depth.
-    """
-    bits = validate_bits(x)
-    if not 1 <= depth <= MAX_VECTOR_DEPTH:
-        raise DepthError(f"depth must be in [1, {MAX_VECTOR_DEPTH}], got {depth}")
-    if len(bits) > depth:
-        raise ValueError(f"x has {len(bits)} bits, more than the grid depth {depth}")
-    threshold = pack_bits(bits) << (depth - len(bits))
-    n = 1 << depth
-    index = np.arange(n, dtype=np.float64)
-    numerators = 1.0 + (np.arange(n, dtype=np.int64) > threshold)
-    return float(np.sum(numerators / (1.0 + index / n) ** 2) / n)
 
 
 def term_value_by_endpoints(t: Iterable[int], r: int) -> Fraction:
@@ -184,15 +166,17 @@ def harmonic_block_sum(block: int, level: int) -> float:
 
 
 def normalization_check(depth: int) -> VerificationReport:
-    """Sum of the reference block weights over one full depth: must be 1.
+    """Sum of the reference law over one full depth: must be 1.
 
-    log2((V+1)/V) telescopes from V = 2^k to 2^(k+1), so the 2^k terms add
-    to exactly 1; the check bounds the floating accumulation error.
+    :func:`benford2.solver.benford_reference` gives block V the weight
+    log2((V+1)/V), which telescopes from V = 2^k to 2^(k+1), so the 2^k
+    weights add to exactly 1; the check bounds the floating error of the
+    weights and their sum.
     """
     if not 0 <= depth <= MAX_VECTOR_DEPTH:
         raise DepthError(f"depth must be in [0, {MAX_VECTOR_DEPTH}], got {depth}")
     first = 1 << depth
-    total = math.fsum(math.log2(v + 1) - math.log2(v) for v in range(first, 2 * first))
+    total = math.fsum(benford_reference(v) for v in range(first, 2 * first))
     return VerificationReport(
         identity="block-weight-normalization",
         params=f"k={depth}",
@@ -201,8 +185,9 @@ def normalization_check(depth: int) -> VerificationReport:
     )
 
 
-def _bit_grid(depth: int, samples: int, rng: random.Random) -> list[Bits]:
+def _bit_grid(depth: int, samples: int, seed: int) -> list[Bits]:
     """Deterministic test vectors: all-zeros, all-ones, alternating, random."""
+    rng = random.Random(seed)
     grid: list[Bits] = [
         (0,) * depth,
         (1,) * depth,
@@ -233,25 +218,26 @@ def _check_matrix(reports: list[VerificationReport], oracle_depth: int, oracle_p
         )
     )
 
-    worst = 0
-    for k in range(1, 10 + 1):
+    mismatches = 0
+    worst = 0.0
+    for k in range(1, MAX_DUMP_DEPTH + 1):
         n = 1 << k
         if k <= 6:
             # literal rational column sums: every column adds to exactly 1
             for scale in range(n, 2 * n):
                 if sum(matrix_element_exact(target, scale) for target in range(n, 2 * n)) != 1:
-                    worst = max(worst, 1)
-        # common-denominator form: numerators over column a must sum to the
-        # scale-block value n + a; the excess count is a vectorized kernel pass
-        index = np.arange(n, dtype=np.int64)
-        counted = np.sum(index[:, np.newaxis] < index[np.newaxis, :], axis=0) + n
-        worst = max(worst, int(np.max(np.abs(counted - (n + index)))))
+                    mismatches += 1
+        # each dense entry is within half an ulp of its rational and the
+        # rationals add to 1, so the 2^k - 1 additions of a column leave it
+        # within about 2^k * 2^-53 of 1
+        sums = build_dense(k).sum(axis=0)
+        worst = max(worst, float(np.max(np.abs(sums - 1.0))) / 2.0 ** (k - 53))
     reports.append(
         VerificationReport(
             identity="column-sums-exact",
-            params="k<=10 (rational identity)",
-            error=float(worst),
-            bound=0.0,
+            params=f"k<=6 exact, dense k<={MAX_DUMP_DEPTH} (error scaled by 2^(k-53))",
+            error=math.inf if mismatches else worst,
+            bound=1.0,
         )
     )
 
@@ -294,18 +280,21 @@ def _check_matrix(reports: list[VerificationReport], oracle_depth: int, oracle_p
     )
 
 
-def _check_integral(reports: list[VerificationReport], depths: Sequence[int], grid: list[Bits]) -> None:
+def _check_integral(reports: list[VerificationReport], depths: Sequence[int]) -> None:
     errors_by_depth: dict[int, float] = {}
     for depth in depths:
-        worst = 0.0
-        for bits in grid:
-            target = 1.0 / (1.0 + float(Fraction(pack_bits(bits), 1 << len(bits))))
-            worst = max(worst, abs(riemann_sum(bits, depth) - target))
+        # the trial weights n/(n+a) = 1/(1+a/n); the kernel's image at x is
+        # the grid sum of n(1 + [a > x])/(n+a)^2, whose limit is trial[x]
+        n = 1 << depth
+        trial = n / np.arange(n, 2 * n, dtype=np.float64)
+        gap = np.subtract(apply_fast(trial, depth), trial, out=trial)
+        worst = float(np.abs(gap, out=gap).max())
+        del trial, gap  # two 2^k vectors at a time
         errors_by_depth[depth] = worst
         reports.append(
             VerificationReport(
                 identity="riemann-vs-closed-form",
-                params=f"k={depth} grid of {len(grid)} targets",
+                params=f"k={depth} all {n} targets (kernel image of 1/(1+x))",
                 error=worst,
                 bound=8.0 * 2.0 ** (-depth),
             )
@@ -342,7 +331,7 @@ def _check_integral(reports: list[VerificationReport], depths: Sequence[int], gr
     )
 
 
-def _check_series(reports: list[VerificationReport], length: int, grid: list[Bits]) -> None:
+def _check_series(reports: list[VerificationReport], length: int, samples: int, seed: int) -> None:
     # Term R depends only on the first R bits, so a vector's partial sum is
     # its parent prefix's sum plus one term; walk the prefix tree depth-first.
     mismatches = 0
@@ -369,7 +358,7 @@ def _check_series(reports: list[VerificationReport], length: int, grid: list[Bit
 
     # tail bound toward the full limit 1/(2-t): |partial(R) - limit| <= 2^(1-R)
     worst_ratio = 0.0
-    for tb in grid:
+    for tb in _bit_grid(length, samples, seed):
         limit = 1 / (2 - truncate(tb, length))
         partial = Fraction(1, 2)
         for r in range(1, length + 1):
@@ -450,11 +439,11 @@ def run_suite(
     The selected suites are the items of :func:`benford2._fanout.fan_out`,
     with equal weights, so on W CPUs suite i runs in worker i mod W; this
     process is worker 0 and runs the first suite (matrix, under "all").
-    The series and integral grids are drawn from the seeded generator here,
-    in suite order, before any fork.  A suite sends back its reports as
-    ``(identity, params, error, bound)`` tuples of ``str`` and ``float``,
-    which marshal carries exactly, so the reports are those of running every
-    suite here.
+    ``samples`` and ``seed`` set only the series suite's random vectors,
+    which it draws from its own ``random.Random(seed)``.  A suite sends back
+    its reports as ``(identity, params, error, bound)`` tuples of ``str``
+    and ``float``, which marshal carries exactly, so the reports are those
+    of running every suite here.
     """
     choices = SUITES + ("all",)
     if which not in choices:
@@ -473,11 +462,10 @@ def run_suite(
         raise ValueError("riemann_depths, harmonic_levels and oracle_paddings must not be empty")
     if any(not 1 <= depth <= MAX_VECTOR_DEPTH for depth in riemann_depths):
         raise DepthError(f"riemann_depths must lie in [1, {MAX_VECTOR_DEPTH}], got {list(riemann_depths)}")
-    integral_terms = (samples + 3) * sum(1 << depth for depth in riemann_depths)
+    integral_terms = sum(1 << depth for depth in riemann_depths)
     if integral_terms > MAX_INTEGRAL_TERMS:
         raise DepthError(
-            f"riemann_depths and samples make {integral_terms} grid terms, "
-            f"more than the budget of {MAX_INTEGRAL_TERMS}"
+            f"riemann_depths make {integral_terms} grid terms, more than the budget of {MAX_INTEGRAL_TERMS}"
         )
     if any(not 1 <= level <= MAX_HARMONIC_LEVEL for level in harmonic_levels):
         raise DepthError(f"harmonic_levels must lie in [1, {MAX_HARMONIC_LEVEL}], got {list(harmonic_levels)}")
@@ -486,11 +474,6 @@ def run_suite(
             f"oracle_paddings must be >= 1 with oracle_depth + padding <= {MAX_COUNT_BITS}, "
             f"got {list(oracle_paddings)} at oracle_depth {oracle_depth}"
         )
-    # drawn here in suite order, so a suite run in a child checks the grid a
-    # one-CPU run draws
-    rng = random.Random(seed)
-    grid_depths = {"series": series_length, "integral": min(min(riemann_depths), 12)}
-    grids = {name: _bit_grid(grid_depths[name], samples, rng) for name in selected if name in grid_depths}
 
     def check(item: int) -> list[tuple[str, str, float, float]]:
         reports: list[VerificationReport] = []
@@ -498,9 +481,9 @@ def run_suite(
         if name == "matrix":
             _check_matrix(reports, oracle_depth, oracle_paddings)
         elif name == "integral":
-            _check_integral(reports, riemann_depths, grids[name])
+            _check_integral(reports, riemann_depths)
         elif name == "series":
-            _check_series(reports, series_length, grids[name])
+            _check_series(reports, series_length, samples, seed)
         elif name == "harmonic":
             _check_harmonic(reports, harmonic_levels)
         return [astuple(report) for report in reports]

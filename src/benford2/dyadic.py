@@ -8,7 +8,7 @@ integer order is dyadic order (0.b1b2...bk as a fraction), which lets the
 vector and matrix layers index 2^k-sized arrays with ordinary integer
 comparisons and suffix scans.  Bits, most-significant-first as a tuple of
 0/1 ints, remain where an identity is stated bit by bit: the excess sum and
-truncations here, and the Riemann sums and series terms of ``analytic``.
+truncations here, and the series terms of ``analytic``.
 The excess sum also takes 0/1 arrays with the bits on the last axis, so
 one call covers every (scale, target) pair of a depth; numpy is loaded on
 that first call, not at import.
@@ -20,6 +20,7 @@ point enters only at module boundaries that need it.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
@@ -48,9 +49,18 @@ class DepthError(ValueError):
     """Requested depth exceeds the configured resource budget."""
 
 
+def _as_bit(bit: int | str) -> int:
+    try:
+        return int(bit) if isinstance(bit, str) else operator.index(bit)
+    except TypeError:
+        raise TypeError(f"bit {bit!r} is not an int or a digit string") from None
+
+
 def validate_bits(bits: Iterable[int]) -> Bits:
-    """Coerce to a tuple of 0/1 ints, enforcing the vector depth budget."""
-    out = tuple(map(int, bits))
+    """Coerce integers (bools and numpy's included) and digit strings to a
+    tuple of 0/1 ints, enforcing the vector depth budget; any other bit, a
+    float included, raises :class:`TypeError` instead of being truncated."""
+    out = tuple(map(_as_bit, bits))
     if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"bits must all be 0 or 1, got {out!r}")
     if len(out) > MAX_VECTOR_DEPTH:

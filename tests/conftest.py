@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import benford2
 from benford2.solver import convergence_table
+from benford2.transition import apply_fast, build_dense
 
 # (criterion number, title, passed, detail) tuples recorded by the
 # acceptance tests; echoed after the run so every criterion gets one
@@ -23,6 +25,22 @@ DEPTH2_EXACT = tuple(weight / sum(_DEPTH2_WEIGHTS) for weight in _DEPTH2_WEIGHTS
 DEPTH2_PRINTED = (0.3152, 0.2627, 0.2251, 0.1970)
 # the marginals of blocks 10 and 11, 308/533 and 225/533
 DEPTH2_MARGINAL_PRINTED = (0.5779, 0.4221)
+
+
+# A slightly wrong version of each product function that ``verify`` checks,
+# by the name ``benford2.analytic`` binds it under, with the identities that
+# must then FAIL at the default budgets
+MUTATIONS = {
+    "apply_fast": (
+        lambda vector, depth: apply_fast(vector, depth) * 1.001,
+        {"riemann-vs-closed-form", "riemann-error-decay"},
+    ),
+    "build_dense": (lambda depth: build_dense(depth) * 1.001, {"column-sums-exact"}),
+    "benford_reference": (
+        lambda block, base=2: math.log1p(1.1 / block) / math.log(base),
+        {"block-weight-normalization"},
+    ),
+}
 
 
 @pytest.fixture(scope="session")

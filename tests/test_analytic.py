@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from conftest import MUTATIONS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benford2 import analytic
 from benford2.analytic import (
     MAX_INTEGRAL_TERMS,
     MAX_SAMPLES,
@@ -13,25 +16,39 @@ from benford2.analytic import (
     VerificationReport,
     harmonic_block_sum,
     normalization_check,
-    riemann_sum,
     run_suite,
     series_partial_sum,
     term_value_by_endpoints,
     term_value_by_product,
 )
-from benford2.dyadic import DepthError, excess_population, truncate, unpack_bits
+from benford2.dyadic import DepthError, excess_population, pack_bits, truncate, unpack_bits
+from benford2.transition import apply_fast, build_dense
+
+
+def trial_image(depth):
+    """The kernel's image of the trial weights 1/(1+a) at depth k: entry x is
+    the grid sum of (1 + [a > x]) / (1+a)^2 over a = 0, 1/2^k, ..., whose
+    limit is the trial weight 1/(1+x)."""
+    n = 1 << depth
+    return apply_fast(n / np.arange(n, 2 * n, dtype=np.float64), depth)
+
+
+def image_at(bits, depth):
+    """The image at the target x = 0.b1b2..., zero-extended to the grid depth."""
+    return float(trial_image(depth)[pack_bits(bits) << (depth - len(bits))])
 
 
 class TestRiemannSum:
+    # the Riemann sum is the kernel's image of the trial weights
     def test_endpoint_zero(self):
-        assert abs(riemann_sum((), 16) - 1.0) <= 2**-13
-        assert abs(riemann_sum((0, 0, 0), 16) - 1.0) <= 2**-13
+        assert abs(image_at((), 16) - 1.0) <= 2**-13
+        assert abs(image_at((0, 0, 0), 16) - 1.0) <= 2**-13
 
     def test_half(self):
-        assert abs(riemann_sum((1,), 16) - 2 / 3) <= 2**-13
+        assert abs(image_at((1,), 16) - 2 / 3) <= 2**-13
 
     def test_quarter(self):
-        assert abs(riemann_sum((0, 1), 18) - 4 / 5) <= 2**-15
+        assert abs(image_at((0, 1), 18) - 4 / 5) <= 2**-15
 
     def test_error_bound_and_decay(self):
         targets = [(), (1,), (0, 1), (1, 0, 1, 1), (1,) * 8, (0, 1) * 4]
@@ -40,29 +57,24 @@ class TestRiemannSum:
             worst = 0.0
             for bits in targets:
                 limit = 1.0 / (1.0 + float(truncate(bits, len(bits))))
-                worst = max(worst, abs(riemann_sum(bits, depth) - limit))
+                worst = max(worst, abs(image_at(bits, depth) - limit))
             assert worst <= 8 * 2.0**-depth
             if previous is not None:
                 assert worst < previous
             previous = worst
 
     def test_matches_definitional_kernel(self):
-        # same sum evaluated with the term-by-term excess instead of the
-        # packed comparison, for every target at depth 8
+        # the grid sum evaluated with the term-by-term excess instead of the
+        # kernel's suffix scan, for every 17th target at depth 8
         depth = 8
         n = 1 << depth
+        image = trial_image(depth)
         scales = [unpack_bits(a, depth) for a in range(n)]
         for x in range(0, n, 17):
             target = unpack_bits(x, depth)
             excess = excess_population(scales, target).tolist()
             direct = sum((1 + excess[a]) / (1 + a / n) ** 2 for a in range(n)) / n
-            assert abs(riemann_sum(target, depth) - direct) <= 1e-12
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            riemann_sum((1, 0, 1), 2)
-        with pytest.raises(DepthError):
-            riemann_sum((1,), 25)
+            assert abs(image[x] - direct) <= 1e-12
 
 
 class TestTermIntegral:
@@ -286,8 +298,8 @@ class TestRunSuite:
             {"series_length": 25},
             {"samples": MAX_SAMPLES + 1},
             {"samples": 10**12},
-            {"riemann_depths": (24, 24, 24, 24), "samples": MAX_SAMPLES},
-            {"riemann_depths": (24,), "samples": 6},
+            {"riemann_depths": (24,) * 9},
+            {"riemann_depths": (24,) * 8 + (1,)},
         ],
     )
     def test_budget_guards(self, budget, monkeypatch):
@@ -302,10 +314,11 @@ class TestRunSuite:
         assert calls == []
 
     def test_integral_terms_at_the_cap_pass_the_guard(self, monkeypatch):
+        # the cap counts grid terms alone; samples size only the series grid
         calls = []
         monkeypatch.setattr("benford2.analytic._check_integral", lambda *args: calls.append(args))
-        assert (5 + 3) << 24 == MAX_INTEGRAL_TERMS
-        run_suite("integral", riemann_depths=(24,), samples=5)
+        assert 8 << 24 == MAX_INTEGRAL_TERMS
+        run_suite("integral", riemann_depths=(24,) * 8, samples=MAX_SAMPLES)
         assert len(calls) == 1
 
     def test_samples_at_the_cap_run(self):
@@ -314,6 +327,19 @@ class TestRunSuite:
 
     def test_suite_names_exported(self):
         assert set(SUITES) == {"matrix", "series", "integral", "harmonic"}
+
+
+class TestMutationGate:
+    # verify checks the program's kernel, dense matrix and reference law, so
+    # a slightly wrong version of any of them fails the default run
+    def test_unmutated_all_pass(self):
+        assert all(report.passed for report in run_suite("all"))
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_mutation_fails(self, monkeypatch, name):
+        wrong, failing = MUTATIONS[name]
+        monkeypatch.setattr(analytic, name, wrong)
+        assert {report.identity for report in run_suite("all") if not report.passed} == failing
 
 
 def reference_series_reports(length, samples, seed):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import DEPTH2_PRINTED, assert_no_children, run_fresh
+from conftest import DEPTH2_PRINTED, MUTATIONS, assert_no_children, run_fresh
 
 import benford2
 from benford2 import _fanout, analytic, cli, solver
@@ -60,11 +60,38 @@ PINNED_STDOUT = {
     "matrix --k 2 --format json": "ecc33d40a0f2d7e4624b604dbb80d1cbc7e4c1917116adaf4d6ec39622066e6d",
     "empirical --family pow3 --n 500 --bits 2": "1dfdacd05db0afbaa8c8b2470774f6fe666ce75a0e8ba155caa42b7e7dbbec39",
     "empirical --family rearranged --n 100": "e66802f0c078c5182153221b35c278505bb234aebebb863b64a9ab0953414063",
-    " ".join(VERIFY_QUICK): "3adfd7596a710b0ceb6358cc2584ebd0d93505302a65fdeae1fb47692559b7f9",
+    " ".join(VERIFY_QUICK): "040ce278f60eff2481776ea18f8be0ea92021db6d2333a6707beee79c186a613",
     # levels below and past analytic.HARMONIC_CHUNK = 2^12 terms
     "verify --suite harmonic --harmonic-levels 3,13,17": "2fdff1cf66c144c7b28ee78398a086c05e2d26d97ec7d6341b140eaf3471fd6e",
     # the default budgets and seed
-    "verify --suite all": "57a8cfe557ade8de9c8eda82545b607e56634cfa6abe2b8cf91c93766dc47929",
+    "verify --suite all": "ac0e93b2c5f913933ae4254ebc796f3f23efec07cb3b9f867c505914ee5e3aac",
+}
+
+# The verify lines that check the kernel's image of the trial weights and the
+# dense matrix's column sums, by line index: the start of each, up to its
+# err=.  The sha256 of every other line pins the lines that the
+# matrix-free kernel, build_dense and their bounds do not enter.
+VERIFY_KERNEL_LINES = {
+    "verify --suite all": (
+        {
+            1: "PASS column-sums-exact k<=6 exact, dense k<=8 (error scaled by 2^(k-53)) ",
+            **{
+                8 + i: f"PASS riemann-vs-closed-form k={k} all {1 << k} targets (kernel image of 1/(1+x)) "
+                for i, k in enumerate((10, 12, 14, 16))
+            },
+            12: "PASS riemann-error-decay depths [10, 12, 14, 16] (ratio of successive errors) ",
+        },
+        "a582f1b433d3600692370b9b970b9cf5b99aa7c64bd3fcd198135b59c799b984",
+    ),
+    " ".join(VERIFY_QUICK): (
+        {
+            1: "PASS column-sums-exact k<=6 exact, dense k<=8 (error scaled by 2^(k-53)) ",
+            6: "PASS riemann-vs-closed-form k=6 all 64 targets (kernel image of 1/(1+x)) ",
+            7: "PASS riemann-vs-closed-form k=8 all 256 targets (kernel image of 1/(1+x)) ",
+            8: "PASS riemann-error-decay depths [6, 8] (ratio of successive errors) ",
+        },
+        "cfdcd2804047c6ddc1962821103544c9c3e9ac9bffa822799a70bfa097d04a96",
+    ),
 }
 
 
@@ -108,6 +135,18 @@ def test_pinned_stdout(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_KERNEL_LINES))
+def test_verify_kernel_lines(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    starts, others = VERIFY_KERNEL_LINES[command]
+    lines = out.splitlines(keepends=True)
+    for index, start in starts.items():
+        assert lines[index].startswith(start + "err=")
+    kept = "".join(line for index, line in enumerate(lines) if index not in starts)
+    assert hashlib.sha256(kept.encode()).hexdigest() == others
 
 
 def test_public_names_resolve_once():
@@ -520,8 +559,8 @@ class TestVerifyCommand:
             ["--series-length", "17"],
             ["--samples", "1025"],
             ["--samples", "1000000000000"],
-            ["--riemann-depths", "24,24,24,24", "--samples", "1024"],
-            ["--riemann-depths", "24", "--samples", "6"],
+            ["--riemann-depths", ",".join(["24"] * 9)],
+            ["--riemann-depths", ",".join(["24"] * 8 + ["1"])],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, budget):
@@ -558,6 +597,19 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "harmonic")
         assert code == 1
         assert out.startswith("FAIL demo")
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_mutation_exits_1(self, capsys, monkeypatch, forks, name):
+        # on two CPUs the child runs series and harmonic with the patch it
+        # inherited, so a wrong reference law fails there too
+        wrong, failing = MUTATIONS[name]
+        monkeypatch.setattr(analytic, name, wrong)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 1
+        assert {line.split(" ")[1] for line in out.splitlines() if line.startswith("FAIL ")} == failing
+        assert len(forks) == 1
+        assert_no_children()
 
     @pytest.mark.parametrize(
         "case", ["", "--seed 7", "--seed 123", "smoke", "smoke --out", "--suite integral", "--suite series"]

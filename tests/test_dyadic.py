@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from benford2.analytic import term_value_by_endpoints
 from benford2.dyadic import (
     MAX_VECTOR_DEPTH,
     DepthError,
@@ -235,3 +236,23 @@ class TestValidateBitsParity:
         with pytest.raises(DepthError) as got:
             validate_bits(bits)
         assert str(got.value) == str(expected.value)
+
+
+class TestFloatBits:
+    # int() would truncate each of these without a word: 0.5 to 0, 1.7 to 1
+    @pytest.mark.parametrize(
+        "bits",
+        [(0.5, 1), (1.0,), [1, np.float64(1.0)], np.array([0.0, 1.0]), [np.float32(1.7)]],
+        ids=["half", "integral-float", "numpy-float64", "float-array", "numpy-float32"],
+    )
+    def test_refused_with_type_error(self, bits):
+        with pytest.raises(TypeError, match=r"^bit .+ is not an int or a digit string$"):
+            validate_bits(bits)
+
+    def test_truncate_refuses(self):
+        with pytest.raises(TypeError, match=r"^bit 0\.5 "):
+            truncate((0.5, 1), 2)
+
+    def test_series_term_refuses(self):
+        with pytest.raises(TypeError, match=r"^bit 1\.7 "):
+            term_value_by_endpoints((1.7,), 1)
