@@ -11,7 +11,6 @@ law empirically on classic fast-growing sequences.
 from benford2.analytic import (
     SUITES,
     VerificationReport,
-    harmonic_block_sum,
     normalization_check,
     run_suite,
     series_partial_sum,
@@ -26,6 +25,7 @@ from benford2.dyadic import (
     DepthError,
     as_block_value,
     excess_population,
+    harmonic_block_sum,
     pack_bits,
     truncate,
     unpack_bits,

@@ -31,13 +31,15 @@ from typing import Iterable, Sequence
 from benford2 import _fanout
 from benford2._lazy import lazy_import, load_deferred
 from benford2.dyadic import (
+    HARMONIC_CHUNK,
     MAX_COUNT_BITS,
     MAX_DUMP_DEPTH,
+    MAX_HARMONIC_LEVEL,
     MAX_VECTOR_DEPTH,
     Bits,
-    DepthError,
-    as_block_value,
+    check_int,
     excess_population,
+    harmonic_block_sum,
     truncate,
     unpack_bits,
     validate_bits,
@@ -49,18 +51,9 @@ np = lazy_import("numpy")
 
 SUITES = ("matrix", "series", "integral", "harmonic")
 
-# Level cap keeps the harmonic loop budget near 2^26 terms.
-MAX_HARMONIC_LEVEL = 26
-# harmonic_block_sum builds its terms 2^12 at a time; a whole 2^26-term
-# array would take 512 MB
-HARMONIC_CHUNK = 1 << 12
 # A random sample costs 0.4 to 0.55 ms in the series suite at the default
 # length, so the cap keeps that share near 0.5 s.
 MAX_SAMPLES = 1 << 10
-# The integral suite makes one apply_fast call per depth, 8 to 13 ns a term
-# at depths 16 to 22, so a cap on sum(2^depth) keeps it near 1.1 to 1.7 s;
-# eight depths of 24 are at the cap, and the defaults make 8.7e4 terms.
-MAX_INTEGRAL_TERMS = 1 << 27
 DEFAULT_SEED = 20260809
 
 
@@ -90,7 +83,7 @@ def term_value_by_endpoints(t: Iterable[int], r: int) -> Fraction:
     jumps; the interval always has width 2^-r.
     """
     tb = validate_bits(t)
-    if not 1 <= r <= len(tb):
+    if check_int(r, "r", 1) > len(tb):
         raise ValueError(f"term index must be in [1, {len(tb)}], got {r}")
     upper = 1 - truncate(tb, r - 1)
     lower = upper - Fraction(1, 1 << r)
@@ -100,7 +93,7 @@ def term_value_by_endpoints(t: Iterable[int], r: int) -> Fraction:
 def term_value_by_product(t: Iterable[int], r: int) -> Fraction:
     """Term r in product form: 2^-r over (2 - head) * (2 - head - 2^-r)."""
     tb = validate_bits(t)
-    if not 1 <= r <= len(tb):
+    if check_int(r, "r", 1) > len(tb):
         raise ValueError(f"term index must be in [1, {len(tb)}], got {r}")
     head = truncate(tb, r - 1)
     step = Fraction(1, 1 << r)
@@ -114,55 +107,12 @@ def series_partial_sum(t: Iterable[int], terms: int) -> Fraction:
     1 / (2 - truncate(t, R)) as a rational, no approximation involved.
     """
     tb = validate_bits(t)
-    if not 0 <= terms <= len(tb):
+    if check_int(terms, "terms", 0) > len(tb):
         raise ValueError(f"terms must be in [0, {len(tb)}], got {terms}")
     total = Fraction(1, 2)
     for r in range(1, terms + 1):
         total += term_value_by_endpoints(tb, r)
     return total
-
-
-def harmonic_block_sum(block: int, level: int) -> float:
-    """Sum of 1/n over the block's scaled range [V*2^level, (V+1)*2^level).
-
-    This is the left Riemann sum of 1/t over the range, so it brackets
-    ln((V+1)/V) from above with error below 1/(V*2^level).  The result is
-    the correctly rounded exact sum of the float terms ``1.0 / n``, the
-    value ``math.fsum`` returns, computed in integers:
-
-    - numpy builds the terms in chunks of ``HARMONIC_CHUNK``.  The int64 to
-      float64 cast rounds as ``float(n)`` does past 2^53, and the division
-      is correctly rounded, so each term t is ``1.0 / n`` bit for bit.
-    - The range lies in one binade, 2^j <= n < 2^(j+1) with
-      j = bit_length(start) - 1, so 2^-(j+1) <= t <= 2^-j and every t is
-      an integer m in [2^52, 2^53] times 2^-(j+53).  Scaling by a power of
-      two makes m exact in float64.
-    - m splits into hi = floor(m / 2^26) <= 2^27 and lo = m - hi*2^26 < 2^26.
-      A chunk's sums of hi and of lo are integers below 2^39, so float64
-      adds them exactly in any order.
-    - The Python ints (hi << 26) + lo over all chunks give the exact sum of
-      m; one rounding to float and an exact ldexp by -(j+53) give the
-      correctly rounded sum.
-    """
-    value = as_block_value(block)
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    if level > MAX_HARMONIC_LEVEL:
-        raise DepthError(f"level {level} exceeds the budget {MAX_HARMONIC_LEVEL}")
-    if (value << level).bit_length() > 62:
-        raise DepthError(f"scaled block value 2^{level} * {value} exceeds the numeric range")
-    start = value << level
-    stop = start + (1 << level)
-    shift = start.bit_length() + 52  # j + 53
-    hi_sum = lo_sum = 0
-    for first in range(start, stop, HARMONIC_CHUNK):
-        m = 1.0 / np.arange(first, min(first + HARMONIC_CHUNK, stop), dtype=np.int64).astype(np.float64)
-        m *= 2.0**shift  # the terms scaled to integers, exactly
-        hi = np.floor(m * 2.0**-26)
-        lo = m - hi * 2.0**26
-        hi_sum += int(hi.sum())
-        lo_sum += int(lo.sum())
-    return math.ldexp(float((hi_sum << 26) + lo_sum), -shift)
 
 
 def normalization_check(depth: int) -> VerificationReport:
@@ -173,9 +123,7 @@ def normalization_check(depth: int) -> VerificationReport:
     weights add to exactly 1; the check bounds the floating error of the
     weights and their sum.
     """
-    if not 0 <= depth <= MAX_VECTOR_DEPTH:
-        raise DepthError(f"depth must be in [0, {MAX_VECTOR_DEPTH}], got {depth}")
-    first = 1 << depth
+    first = 1 << check_int(depth, "depth", 0, MAX_VECTOR_DEPTH)
     total = math.fsum(benford_reference(v) for v in range(first, 2 * first))
     return VerificationReport(
         identity="block-weight-normalization",
@@ -433,8 +381,10 @@ def run_suite(
     ``which`` is a suite name from ``SUITES`` or "all"; the keywords are
     the budgets of the ``verify`` command, with its defaults.  All bounds
     are derived from the budget, so shrunken budgets stay rigorous.
-    Check failures are reported, never raised; an unknown suite or an
-    out-of-range budget raises ``ValueError`` before any suite runs.
+    Check failures are reported, never raised; an unknown suite, an
+    out-of-range budget or a repeated depth, level or padding raises
+    ``ValueError``, and a budget that is not an ``int`` ``TypeError``,
+    before any suite runs.
 
     The selected suites are the items of :func:`benford2._fanout.fan_out`,
     with equal weights, so on W CPUs suite i runs in worker i mod W; this
@@ -450,30 +400,22 @@ def run_suite(
         raise ValueError(f"unknown suite {which!r}; choose from {choices}")
     selected = SUITES if which == "all" else (which,)
 
-    if series_length < 1 or samples < 0:
-        raise ValueError(f"series_length must be >= 1 and samples >= 0, got {series_length}, {samples}")
-    if samples > MAX_SAMPLES:
-        raise DepthError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
-    if series_length > 2 * MAX_DUMP_DEPTH:  # the series walks 2^(L+1) - 2 prefixes
-        raise DepthError(f"series_length must be <= {2 * MAX_DUMP_DEPTH}, got {series_length}")
-    if not 1 <= oracle_depth <= MAX_DUMP_DEPTH:  # the oracle walks 4^k pairs per depth
-        raise DepthError(f"oracle_depth must be in [1, {MAX_DUMP_DEPTH}], got {oracle_depth}")
-    if not riemann_depths or not harmonic_levels or not oracle_paddings:
-        raise ValueError("riemann_depths, harmonic_levels and oracle_paddings must not be empty")
-    if any(not 1 <= depth <= MAX_VECTOR_DEPTH for depth in riemann_depths):
-        raise DepthError(f"riemann_depths must lie in [1, {MAX_VECTOR_DEPTH}], got {list(riemann_depths)}")
-    integral_terms = sum(1 << depth for depth in riemann_depths)
-    if integral_terms > MAX_INTEGRAL_TERMS:
-        raise DepthError(
-            f"riemann_depths make {integral_terms} grid terms, more than the budget of {MAX_INTEGRAL_TERMS}"
-        )
-    if any(not 1 <= level <= MAX_HARMONIC_LEVEL for level in harmonic_levels):
-        raise DepthError(f"harmonic_levels must lie in [1, {MAX_HARMONIC_LEVEL}], got {list(harmonic_levels)}")
-    if any(padding < 1 or oracle_depth + padding > MAX_COUNT_BITS for padding in oracle_paddings):
-        raise DepthError(
-            f"oracle_paddings must be >= 1 with oracle_depth + padding <= {MAX_COUNT_BITS}, "
-            f"got {list(oracle_paddings)} at oracle_depth {oracle_depth}"
-        )
+    check_int(series_length, "series_length", 1, 2 * MAX_DUMP_DEPTH)  # the series walks 2^(L+1) - 2 prefixes
+    check_int(samples, "samples", 0, MAX_SAMPLES)
+    check_int(oracle_depth, "oracle_depth", 1, MAX_DUMP_DEPTH)  # the oracle walks 4^k pairs per depth
+    for name, values, budget in (
+        ("riemann_depths", riemann_depths, MAX_VECTOR_DEPTH),
+        ("harmonic_levels", harmonic_levels, MAX_HARMONIC_LEVEL),
+        ("oracle_paddings", oracle_paddings, MAX_COUNT_BITS - oracle_depth),
+    ):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
+        for value in values:
+            check_int(value, name, 1, budget)
+        # a repeat checks nothing new; with distinct depths the integral suite
+        # makes fewer than 2^(MAX_VECTOR_DEPTH + 1) grid terms, 8 to 13 ns each
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} repeats an entry: {list(values)}")
 
     def check(item: int) -> list[tuple[str, str, float, float]]:
         reports: list[VerificationReport] = []

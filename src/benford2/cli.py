@@ -15,7 +15,7 @@ from contextlib import closing, contextmanager
 from typing import Iterator, TextIO
 
 from benford2 import _fanout, analytic, empirical, transition
-from benford2.dyadic import MAX_DUMP_DEPTH
+from benford2.dyadic import MAX_DUMP_DEPTH, check_int
 from benford2.solver import (
     BACKENDS,
     ConvergenceError,
@@ -170,9 +170,7 @@ def _cmd_table1(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
-    if not 1 <= args.k <= MAX_DUMP_DEPTH:
-        raise ValueError(f"--k must be in [1, {MAX_DUMP_DEPTH}] for a dump (4^k rows)")
-    n = 1 << args.k
+    n = 1 << check_int(args.k, "--k", 1, MAX_DUMP_DEPTH)  # a dump prints 4^k rows
     labels = [format(value, "b") for value in range(n, 2 * n)]
     rows = [
         (x, a, value)

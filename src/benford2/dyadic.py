@@ -3,15 +3,18 @@
 Every positive integer written in base 2 starts with a 1, so a leading
 block of 1+k significant digits is fully described by the k bits after the
 first one, or by its value V in [2^k, 2^(k+1)): every block argument is
-that value, checked by :func:`as_block_value`.  V - 2^k packs the bits, so
+that value, checked by :func:`as_block_value`.  Every integer argument of
+the library (a depth, level, padding, count, digit count, base or block)
+goes through :func:`check_int`, the one rule for them.  V - 2^k packs the bits, so
 integer order is dyadic order (0.b1b2...bk as a fraction), which lets the
 vector and matrix layers index 2^k-sized arrays with ordinary integer
 comparisons and suffix scans.  Bits, most-significant-first as a tuple of
 0/1 ints, remain where an identity is stated bit by bit: the excess sum and
 truncations here, and the series terms of ``analytic``.
 The excess sum also takes 0/1 arrays with the bits on the last axis, so
-one call covers every (scale, target) pair of a depth; numpy is loaded on
-that first call, not at import.
+one call covers every (scale, target) pair of a depth.  The exact harmonic
+sum over a block's scaled range lives here too, below both the solver and
+the checks.  numpy is loaded on the first call that needs it, not at import.
 
 All values derived from bits are exact: integers for block values,
 ``fractions.Fraction`` for dyadic fractions and truncations.  Floating
@@ -20,6 +23,7 @@ point enters only at module boundaries that need it.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
@@ -43,10 +47,36 @@ MAX_DENSE_DEPTH = 12
 MAX_DUMP_DEPTH = 8
 MAX_REPORT_ROWS = 1 << 17
 MAX_COUNT_BITS = 40
+# Level cap keeps the harmonic loop budget near 2^26 terms.
+MAX_HARMONIC_LEVEL = 26
+# harmonic_block_sum builds its terms 2^12 at a time; a whole 2^26-term
+# array would take 512 MB
+HARMONIC_CHUNK = 1 << 12
 
 
 class DepthError(ValueError):
-    """Requested depth exceeds the configured resource budget."""
+    """An input lies outside its resource budget: a budgeted integer argument
+    outside [least, budget] (see :func:`check_int`), depth 0 included where
+    the least is 1, or a size derived from the input, such as a bit count
+    or a report's rows, past its cap."""
+
+
+def check_int(value: int, name: str, least: int, budget: int | None = None) -> int:
+    """Return ``value`` if it is an ``int`` in range, else raise.
+
+    Anything but an ``int`` (a ``bool`` included) raises :class:`TypeError`
+    naming ``name``; with a ``budget``, a value outside [least, budget]
+    raises :class:`DepthError`, and without one a value below ``least``
+    :class:`ValueError`.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an int")
+    if budget is not None:
+        if not least <= value <= budget:
+            raise DepthError(f"{name} must be in [{least}, {budget}], got {value}")
+    elif value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _as_bit(bit: int | str) -> int:
@@ -78,7 +108,8 @@ def pack_bits(bits: Bits) -> int:
 
 def unpack_bits(packed: int, depth: int) -> Bits:
     """Inverse of :func:`pack_bits` for a known depth."""
-    if not 0 <= packed < (1 << depth):
+    check_int(depth, "depth", 0, MAX_VECTOR_DEPTH)
+    if check_int(packed, "packed", 0) >= 1 << depth:
         raise ValueError(f"packed value {packed} does not fit in {depth} bits")
     return tuple((packed >> (depth - 1 - i)) & 1 for i in range(depth))
 
@@ -86,7 +117,7 @@ def unpack_bits(packed: int, depth: int) -> Bits:
 def truncate(bits: Iterable[int], places: int) -> Fraction:
     """Exact value of the fraction cut after its first ``places`` bits."""
     out = validate_bits(bits)
-    if not 0 <= places <= len(out):
+    if check_int(places, "places", 0) > len(out):
         raise ValueError(f"places must be in [0, {len(out)}], got {places}")
     return Fraction(pack_bits(out[:places]), 1 << places)
 
@@ -140,8 +171,44 @@ def as_block_value(block: int) -> int:
     """Check a block given as its value, such as ``0b101``: anything but an
     ``int`` (a ``bool`` included) raises :class:`TypeError` and a value
     below 1 :class:`ValueError`."""
-    if type(block) is not int:
-        raise TypeError(f"block {block!r} is not an int")
-    if block < 1:
-        raise ValueError(f"block value must be >= 1, got {block}")
-    return block
+    return check_int(block, "block", 1)
+
+
+def harmonic_block_sum(block: int, level: int) -> float:
+    """Sum of 1/n over the block's scaled range [V*2^level, (V+1)*2^level).
+
+    This is the left Riemann sum of 1/t over the range, so it brackets
+    ln((V+1)/V) from above with error below 1/(V*2^level).  The result is
+    the correctly rounded exact sum of the float terms ``1.0 / n``, the
+    value ``math.fsum`` returns, computed in integers:
+
+    - numpy builds the terms in chunks of ``HARMONIC_CHUNK``.  The int64 to
+      float64 cast rounds as ``float(n)`` does past 2^53, and the division
+      is correctly rounded, so each term t is ``1.0 / n`` bit for bit.
+    - The range lies in one binade, 2^j <= n < 2^(j+1) with
+      j = bit_length(start) - 1, so 2^-(j+1) <= t <= 2^-j and every t is
+      an integer m in [2^52, 2^53] times 2^-(j+53).  Scaling by a power of
+      two makes m exact in float64.
+    - m splits into hi = floor(m / 2^26) <= 2^27 and lo = m - hi*2^26 < 2^26.
+      A chunk's sums of hi and of lo are integers below 2^39, so float64
+      adds them exactly in any order.
+    - The Python ints (hi << 26) + lo over all chunks give the exact sum of
+      m; one rounding to float and an exact ldexp by -(j+53) give the
+      correctly rounded sum.
+    """
+    value = as_block_value(block)
+    check_int(level, "level", 1, MAX_HARMONIC_LEVEL)
+    if (value << level).bit_length() > 62:
+        raise DepthError(f"scaled block value 2^{level} * {value} exceeds the numeric range")
+    start = value << level
+    stop = start + (1 << level)
+    shift = start.bit_length() + 52  # j + 53
+    hi_sum = lo_sum = 0
+    for first in range(start, stop, HARMONIC_CHUNK):
+        m = 1.0 / np.arange(first, min(first + HARMONIC_CHUNK, stop), dtype=np.int64).astype(np.float64)
+        m *= 2.0**shift  # the terms scaled to integers, exactly
+        hi = np.floor(m * 2.0**-26)
+        lo = m - hi * 2.0**26
+        hi_sum += int(hi.sum())
+        lo_sum += int(lo.sum())
+    return math.ldexp(float((hi_sum << 26) + lo_sum), -shift)

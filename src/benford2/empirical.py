@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from benford2 import _fanout
-from benford2.dyadic import MAX_REPORT_ROWS, DepthError
+from benford2.dyadic import MAX_REPORT_ROWS, DepthError, check_int
 from benford2.solver import benford_reference
 
 FAMILIES = ("pow3", "fibonacci", "factorial", "rearranged")
@@ -52,27 +52,13 @@ _ONE = 1 << _FRACTION_BITS
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _check_count(count: int, least: int) -> None:
-    """Refuse a term count that is not an ``int`` (a ``bool`` included) with
-    :class:`TypeError`, and one below ``least`` with :class:`ValueError`."""
-    if type(count) is not int:
-        raise TypeError(f"count {count!r} is not an int")
-    if count < least:
-        raise ValueError(f"count must be >= {least}, got {count}")
-
-
 def _check_digits_and_base(digits: int, base: int, name: str = "block_bits") -> None:
     """Refuse a digit count or base that is not an ``int`` (a ``bool`` included)
     with :class:`TypeError`, and a negative digit count or a base that
     ``_DIGITS`` cannot name with :class:`ValueError`."""
-    if type(digits) is not int:
-        raise TypeError(f"{name} {digits!r} is not an int")
-    if type(base) is not int:
-        raise TypeError(f"base {base!r} is not an int")
-    if digits < 0:
-        raise ValueError(f"{name} must be >= 0, got {digits}")
-    if not 2 <= base <= 36:
-        raise ValueError(f"base must be in [2, 36], got {base}")
+    check_int(digits, name, 0)
+    if check_int(base, "base", 2) > len(_DIGITS):
+        raise ValueError(f"base must be in [2, {len(_DIGITS)}], got {base}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +73,7 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        _check_count(self.count, 1)
+        check_int(self.count, "count", 1)
         _check_digits_and_base(self.block_bits, self.base)
 
 
@@ -143,8 +129,7 @@ def leading_block(value: int, block_digits: int, base: int = 2) -> int:
     Values with fewer digits come back whole (clipped), not padded; scaling
     by any power of the base leaves the result unchanged.
     """
-    if value <= 0:
-        raise ValueError(f"value must be positive, got {value}")
+    check_int(value, "value", 1)
     _check_digits_and_base(block_digits, base, "block_digits")
     total = _digit_count(value, base)
     keep = min(block_digits + 1, total)
@@ -289,7 +274,7 @@ def rearranged_sequence(count: int) -> list[int]:
     Odd slots walk the non-multiples of four in order, even slots walk the
     multiples of four in order: 1, 4, 2, 8, 3, 12, 5, 16, ...
     """
-    _check_count(count, 1)
+    check_int(count, "count", 1)
     non_multiples = (v for v in itertools.count(1) if v % 4)
     multiples = itertools.count(4, 4)
     return [next(multiples) if i % 2 else next(non_multiples) for i in range(count)]
@@ -376,7 +361,7 @@ def rearrangement_demo(count: int) -> tuple[float, float]:
     frequency approaches 1/4, the second 1/2, although both sequences run
     over the same set of integers.
     """
-    _check_count(count, 4)
+    check_int(count, "count", 4)
     natural = range(1, count + 1)
     natural_freq = sum(1 for v in natural if v % 4 == 0) / count
     rearranged_freq = sum(1 for v in rearranged_sequence(count) if v % 4 == 0) / count

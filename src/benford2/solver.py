@@ -16,6 +16,7 @@ probabilities, which approach log2(3/2) and log2(4/3) as the depth grows;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from benford2 import _fanout
@@ -23,8 +24,8 @@ from benford2._lazy import lazy_import, load_deferred
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_VECTOR_DEPTH,
-    DepthError,
     as_block_value,
+    check_int,
 )
 from benford2.transition import apply_dense, apply_fast, build_dense
 
@@ -69,20 +70,17 @@ class ConvergenceRow:
     rel_err: float
 
 
-def _check_arguments(depth: int, backend: str, tolerance: float) -> None:
-    """Reject a depth that is not an ``int`` (a ``bool`` included) with
-    :class:`TypeError`; an unknown backend, a depth outside that backend's
-    budget or a tolerance that is not positive and finite with
-    :class:`ValueError`."""
-    if type(depth) is not int:
-        raise TypeError(f"depth {depth!r} is not an int")
+def _depth_budget(backend: str, tolerance: float) -> int:
+    """The backend's depth budget.  An unknown backend, or a tolerance that
+    is not positive and finite, raises :class:`ValueError`; a tolerance that
+    is a ``bool`` or not a real number raises :class:`TypeError`."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    max_depth = MAX_DENSE_DEPTH if backend == "dense" else MAX_VECTOR_DEPTH
-    if not 1 <= depth <= max_depth:
-        raise DepthError(f"{backend} backend depth must be in [1, {max_depth}], got {depth}")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+        raise TypeError(f"tolerance {tolerance!r} is not a real number")
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    return MAX_DENSE_DEPTH if backend == "dense" else MAX_VECTOR_DEPTH
 
 
 def solve(
@@ -99,9 +97,8 @@ def solve(
     drops to ``tolerance``.  Raises :class:`ConvergenceError` if the cap is
     hit first.
     """
-    _check_arguments(depth, backend, tolerance)
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    check_int(depth, "depth", 1, _depth_budget(backend, tolerance))
+    check_int(max_iterations, "max_iterations", 1)
 
     matrix = build_dense(depth) if backend == "dense" else None
     n = 1 << depth
@@ -143,7 +140,7 @@ def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:
     depth = n.bit_length() - 1
     if n != 1 << depth:
         raise ValueError(f"vector length {n} is not a power of two")
-    if not 0 <= prefix_bits <= depth:
+    if check_int(prefix_bits, "prefix_bits", 0) > depth:
         raise ValueError(f"prefix_bits must be in [0, {depth}], got {prefix_bits}")
     return v.reshape(1 << prefix_bits, -1).sum(axis=1)
 
@@ -154,11 +151,7 @@ def benford_reference(block: int, base: int = 2) -> float:
     A block or base that is not an ``int`` (a ``bool`` included) raises
     :class:`TypeError`; a block below 1 or a base below 2 :class:`ValueError`.
     """
-    if type(base) is not int:
-        raise TypeError(f"base {base!r} is not an int")
-    if base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base}")
-    return math.log1p(1.0 / as_block_value(block)) / math.log(base)
+    return math.log1p(1.0 / as_block_value(block)) / math.log(check_int(base, "base", 2))
 
 
 def convergence_table(
@@ -176,7 +169,7 @@ def convergence_table(
     depth here.  Only ``p10`` is kept from each solve, so each depth's
     vector is freed before the next solve starts.
     """
-    _check_arguments(max_depth, backend, tolerance)
+    check_int(max_depth, "max_depth", 1, _depth_budget(backend, tolerance))
     reference = math.log2(1.5)
     depths = range(1, max_depth + 1)
     load_deferred()  # numpy: once here before any fork, not once in each child

@@ -32,7 +32,7 @@ from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_VECTOR_DEPTH,
     DepthError,
-    as_block_value,
+    check_int,
 )
 
 np = lazy_import("numpy")
@@ -44,8 +44,8 @@ APPLY_BLOCK = 1 << 15
 
 def _block_pair(target: int, scale: int) -> int:
     """Depth of a target and a scale block value, which must share it."""
-    depth = as_block_value(target).bit_length() - 1
-    if as_block_value(scale).bit_length() - 1 != depth:
+    depth = check_int(target, "target", 1).bit_length() - 1
+    if check_int(scale, "scale", 1).bit_length() - 1 != depth:
         raise ValueError(f"blocks differ in depth: {target} vs {scale}")
     if depth > MAX_VECTOR_DEPTH:
         raise DepthError(f"depth {depth} exceeds the budget of {MAX_VECTOR_DEPTH}")
@@ -72,9 +72,7 @@ def build_dense(depth: int) -> np.ndarray:
     fl(2/s).  The transpose ``[a, x]`` is built row by row in C order, and
     its ``.T`` is the column-major ``[x, a]`` view with no copy.
     """
-    if not 1 <= depth <= MAX_DENSE_DEPTH:
-        raise DepthError(f"dense depth must be in [1, {MAX_DENSE_DEPTH}], got {depth}")
-    n = 1 << depth
+    n = 1 << check_int(depth, "depth", 1, MAX_DENSE_DEPTH)
     transposed = np.empty((n, n))
     transposed[...] = 1.0 / np.arange(n, 2 * n, dtype=np.float64)[:, np.newaxis]
     # below the diagonal of [a, x] the scale exceeds the target: numerator 2
@@ -108,10 +106,8 @@ def apply_fast(vector: np.ndarray, depth: int) -> np.ndarray:
     applies ``s + s[0] - w`` in that order.  The input is not modified;
     the returned array is the only 2^k allocation.
     """
+    n = 1 << check_int(depth, "depth", 1, MAX_VECTOR_DEPTH)
     v = np.asarray(vector, dtype=np.float64)
-    if depth < 1 or depth > MAX_VECTOR_DEPTH:
-        raise DepthError(f"depth must be in [1, {MAX_VECTOR_DEPTH}], got {depth}")
-    n = 1 << depth
     if v.shape != (n,):
         raise ValueError(f"vector length {v.shape} is not 2^{depth}")
     size = min(n, APPLY_BLOCK)
@@ -147,13 +143,8 @@ def brute_force_element(target: int, scale: int, padding: int) -> Fraction:
     within 2^(1-m) of the limiting matrix element (short numbers, those
     with fewer than k+1 bits, are missing from the count).
     """
-    depth = _block_pair(target, scale)
-    if padding < 1:
-        raise ValueError(f"padding must be >= 1, got {padding}")
-    if depth + padding > MAX_COUNT_BITS:
-        raise DepthError(
-            f"depth+padding {depth + padding} exceeds the counting budget {MAX_COUNT_BITS}"
-        )
+    # the count walks numbers of depth + padding bits
+    check_int(padding, "padding", 1, MAX_COUNT_BITS - _block_pair(target, scale))
     limit = scale << padding
     count = 0
     shift = 0

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from benford2 import analytic
 from benford2.analytic import (
-    MAX_INTEGRAL_TERMS,
     MAX_SAMPLES,
     SUITES,
     VerificationReport,
@@ -21,7 +20,7 @@ from benford2.analytic import (
     term_value_by_endpoints,
     term_value_by_product,
 )
-from benford2.dyadic import DepthError, excess_population, pack_bits, truncate, unpack_bits
+from benford2.dyadic import MAX_VECTOR_DEPTH, DepthError, excess_population, pack_bits, truncate, unpack_bits
 from benford2.transition import apply_fast, build_dense
 
 
@@ -300,6 +299,9 @@ class TestRunSuite:
             {"samples": 10**12},
             {"riemann_depths": (24,) * 9},
             {"riemann_depths": (24,) * 8 + (1,)},
+            {"riemann_depths": (10, 10)},
+            {"harmonic_levels": (6, 6)},
+            {"oracle_paddings": (8, 8)},
         ],
     )
     def test_budget_guards(self, budget, monkeypatch):
@@ -313,12 +315,12 @@ class TestRunSuite:
             run_suite("all", **budget)
         assert calls == []
 
-    def test_integral_terms_at_the_cap_pass_the_guard(self, monkeypatch):
-        # the cap counts grid terms alone; samples size only the series grid
+    def test_every_distinct_depth_passes_the_guard(self, monkeypatch):
+        # the widest grid: each depth once, 2^25 - 2 terms; samples size only
+        # the series grid
         calls = []
         monkeypatch.setattr("benford2.analytic._check_integral", lambda *args: calls.append(args))
-        assert 8 << 24 == MAX_INTEGRAL_TERMS
-        run_suite("integral", riemann_depths=(24,) * 8, samples=MAX_SAMPLES)
+        run_suite("integral", riemann_depths=tuple(range(1, MAX_VECTOR_DEPTH + 1)), samples=MAX_SAMPLES)
         assert len(calls) == 1
 
     def test_samples_at_the_cap_run(self):

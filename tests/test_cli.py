@@ -561,6 +561,9 @@ class TestVerifyCommand:
             ["--samples", "1000000000000"],
             ["--riemann-depths", ",".join(["24"] * 9)],
             ["--riemann-depths", ",".join(["24"] * 8 + ["1"])],
+            ["--suite", "integral", "--riemann-depths", "10,10"],
+            ["--suite", "harmonic", "--harmonic-levels", "6,6"],
+            ["--suite", "matrix", "--oracle-paddings", "8,8"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, budget):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,19 @@ class TestSolve:
             solve(True)
         with pytest.raises(TypeError, match="depth 3.0 is not an int"):
             solve(3.0)
+
+    @pytest.mark.parametrize("tolerance", [True, False, "1e-14", None, 1e-14j])
+    def test_tolerance_that_is_not_a_real_number_refused(self, tolerance):
+        # True would stop after one step, 3.5e-3 off the converged p10
+        for call in (solve, convergence_table):
+            with pytest.raises(TypeError, match=re.escape(f"tolerance {tolerance!r} is not a real number")):
+                call(3, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [np.float64(1e-14), np.float32(1e-6)])
+    def test_numpy_float_tolerance_accepted(self, tolerance):
+        report = solve(3, tolerance=tolerance)
+        assert report.residual <= tolerance
+        assert report.iterations == solve(3, tolerance=float(tolerance)).iterations
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
