@@ -5,8 +5,9 @@ some of them in forked children.  It has four callers: ``solve`` formats
 its rows through it, ``convergence_table`` solves its depths through it,
 ``verify`` (``analytic.run_suite``) runs its suites through it, and
 ``empirical`` (``generate_blocks``) generates the ranges of terms of pow3
-and fibonacci through it.  Each prints exactly the bytes of computing every
-item in one process.
+and fibonacci through it.  Every caller's ``work(i)`` depends on ``i``
+alone, so which process computes an item changes no result, and each
+prints exactly the bytes of computing every item in one process.
 
 A module that a child's work first imports after the fork is imported
 once in each child.  So a caller whose children need a module that

@@ -79,17 +79,22 @@ def check_int(value: int, name: str, least: int, budget: int | None = None) -> i
     return value
 
 
-def _as_bit(bit: int | str) -> int:
+def _as_bit(bit: int) -> int:
     try:
-        return int(bit) if isinstance(bit, str) else operator.index(bit)
+        return operator.index(bit)
     except TypeError:
-        raise TypeError(f"bit {bit!r} is not an int or a digit string") from None
+        raise TypeError(f"bit {bit!r} is not an int") from None
 
 
 def validate_bits(bits: Iterable[int]) -> Bits:
-    """Coerce integers (bools and numpy's included) and digit strings to a
-    tuple of 0/1 ints, enforcing the vector depth budget; any other bit, a
-    float included, raises :class:`TypeError` instead of being truncated."""
+    """The bits as a tuple of 0/1 ints, within the vector depth budget.
+
+    One rule for bits, which :func:`excess_population` applies too: an
+    integer (a ``bool`` or a numpy integer included) equal to 0 or 1 is a
+    bit; any other type, a float or a string included, raises
+    :class:`TypeError` instead of being truncated or parsed, and any other
+    integer :class:`ValueError`.
+    """
     out = tuple(map(_as_bit, bits))
     if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"bits must all be 0 or 1, got {out!r}")
@@ -123,11 +128,13 @@ def truncate(bits: Iterable[int], places: int) -> Fraction:
 
 
 def _bit_array(bits: ArrayLike) -> NDArray:
-    """``bits`` as a bool array whose last axis holds the bits."""
+    """``bits`` as a bool array whose last axis holds the bits, by the rule of :func:`validate_bits`."""
     out = np.asarray(bits)
+    if out.size and out.dtype.kind not in "biu":
+        raise TypeError(f"bits of dtype {out.dtype} are not ints")
     if out.ndim == 0:
         raise ValueError("bits need an axis of bit positions, got a scalar")
-    if out.size and (out.dtype.kind not in "biu" or out.min() < 0 or out.max() > 1):
+    if out.size and (out.min() < 0 or out.max() > 1):
         raise ValueError("bits must all be 0 or 1")
     if out.shape[-1] > MAX_VECTOR_DEPTH:
         raise DepthError(f"depth {out.shape[-1]} exceeds the budget of {MAX_VECTOR_DEPTH}")

@@ -13,18 +13,18 @@ counted as integer values, named as digit strings only in the report, and
 compared against the reference law log_base(1 + 1/block).
 
 Powers of 3 and Fibonacci numbers are generated in contiguous ranges of
-terms on every CPU this process may use.  A range continues from the
-window its predecessor ended with when that ran in the same process (so
-one CPU does the work of one window), and otherwise resumes from the
-exact term before it, 3^(lo-1) or F(lo-2) and F(lo-1), rounded down once.
-The guard still counts the steps from the first term: i - 1 for 3^i (the
-first step, 3 * 1, is exact) and max(i - 2, 0) for F(i).  A seed drifts
-no more than one step does, so by term i a window resumed at term lo has
-drifted at most as much as i - lo + 2 steps, which is no more than the
-guard counts once lo >= 3 (pow3) or lo >= 4 (Fibonacci).  Every range
-after the first starts past term 2^(CHUNK_BITS - 1), and the guard's fixed
-2^-50 alone covers thousands of steps besides.  The blocks are the exact
-ones either way; only which terms fall back can differ.
+terms on every CPU this process may use.  Each range starts from the
+exact term before it, 3^(lo-1) or F(lo-2) and F(lo-1), rounded down once,
+so its blocks depend on its bounds alone.  The guard still counts the
+steps from the first term: i - 1 for 3^i (the first step, 3 * 1, is
+exact) and max(i - 2, 0) for F(i).  A seed drifts no more than one step
+does, so by term i a window seeded at term lo has drifted at most as much
+as i - lo + 2 steps, which is no more than the guard counts once lo >= 3
+(pow3) or lo >= 4 (Fibonacci).  The first range's seed, 1, is exact;
+every other range starts past term 2^(CHUNK_BITS - 1), and the guard's
+fixed 2^-50 alone covers thousands of steps besides.  The blocks are the
+exact ones, and which terms fall back depends on the count alone, not on
+the number of CPUs.
 
 The rearrangement demonstration shows why these frequencies are a property
 of ordering rather than cardinality: interleaving the naturals so that
@@ -179,21 +179,15 @@ def _seed(value: int, base: int) -> tuple[int, int]:
 
 
 def _product_blocks(
-    lo: int,
-    hi: int,
-    window: tuple[int, int],
-    block_digits: int,
-    base: int,
-    factors: Iterable[int],
-    exact: Callable[[int], int],
-) -> tuple[list[int], tuple[int, int]]:
-    """Blocks of terms lo, ..., hi - 1 of a running product, and the window of term hi - 1.
+    lo: int, hi: int, block_digits: int, base: int, factors: Iterable[int], exact: Callable[[int], int]
+) -> list[int]:
+    """Blocks of terms lo, ..., hi - 1 of a running product, seeded from the exact term lo - 1.
 
-    ``window`` is the window of term lo - 1, and ``factors`` the factors of
-    terms lo, ... in order.
+    ``factors`` are the factors of terms lo, ... in order, and ``exact(i)``
+    is term i.
     """
     blocks = []
-    mantissa, exponent = window
+    mantissa, exponent = _seed(exact(lo - 1), base)
     top, scale = base * _ONE, base**block_digits
     for i, factor in zip(range(lo, hi), factors):
         mantissa, exponent = _normalize(mantissa * factor, exponent, base, top)
@@ -201,35 +195,22 @@ def _product_blocks(
             _window_block(mantissa, exponent, i - 1, block_digits, scale)
             or leading_block(exact(i), block_digits, base)
         )
-    return blocks, (mantissa, exponent)
+    return blocks
 
 
-def _pow3_blocks(
-    lo: int, hi: int, window: tuple[int, int] | None, block_digits: int, base: int
-) -> tuple[list[int], tuple[int, int]]:
-    """Blocks of 3^lo, ..., 3^(hi - 1), and the window of 3^(hi - 1).
+def _pow3_blocks(lo: int, hi: int, block_digits: int, base: int) -> list[int]:
+    """Blocks of 3^lo, ..., 3^(hi - 1), seeded from 3^(lo - 1)."""
+    return _product_blocks(lo, hi, block_digits, base, itertools.repeat(3), lambda i: 3**i)
 
-    They start from ``window``, that of 3^(lo - 1), or from 3^(lo - 1)
-    itself when it is None.
+
+def _fibonacci_blocks(lo: int, hi: int, block_digits: int, base: int) -> list[int]:
+    """Blocks of F(lo), ..., F(hi - 1), seeded from F(lo - 2) and F(lo - 1).
+
+    Below term 3 both windows are that of F(1) = F(2) = 1, and no step is
+    taken until term 3.
     """
-    if window is None:
-        window = _seed(3 ** (lo - 1), base)
-    return _product_blocks(lo, hi, window, block_digits, base, itertools.repeat(3), lambda i: 3**i)
-
-
-def _fibonacci_blocks(
-    lo: int, hi: int, windows: tuple | None, block_digits: int, base: int
-) -> tuple[list[int], tuple]:
-    """Blocks of F(lo), ..., F(hi - 1), and the windows of F(hi - 2) and F(hi - 1).
-
-    They start from ``windows``, those of F(lo - 2) and F(lo - 1), or from
-    those exact terms when it is None.  Below term 3 both windows are that
-    of F(1) = F(2) = 1, and no step is taken until term 3.
-    """
-    if windows is None:
-        windows = tuple(_seed(term, base) for term in (_fib_pair(lo - 2) if lo > 2 else (1, 1)))
     blocks = []
-    (pm, pe), (cm, ce) = windows
+    (pm, pe), (cm, ce) = (_seed(term, base) for term in (_fib_pair(lo - 2) if lo > 2 else (1, 1)))
     top, scale = base * _ONE, base**block_digits
     for i in range(lo, hi):
         if i > 2:
@@ -238,7 +219,7 @@ def _fibonacci_blocks(
             _window_block(cm, ce, max(i - 2, 0), block_digits, scale)
             or leading_block(_fib_pair(i)[0], block_digits, base)
         )
-    return blocks, ((pm, pe), (cm, ce))
+    return blocks
 
 
 def _ranged_blocks(blocks_of: Callable, count: int, block_digits: int, base: int) -> list[int]:
@@ -249,20 +230,13 @@ def _ranged_blocks(blocks_of: Callable, count: int, block_digits: int, base: int
     count up to 2^CHUNK_BITS is one range and forks nothing.  Two or more
     ranges hold at least 2^(CHUNK_BITS - 1) terms each, tens of
     milliseconds of work against about one for a fork, so no share is kept
-    back by a floor.  A range whose predecessor ran in the same process
-    continues from that range's last window; any other starts from the
-    exact term before it.
+    back by a floor.  Each range starts from the exact term before it.
     """
     ranges = -(-count >> _fanout.CHUNK_BITS)
     bounds = [1 + count * r // ranges for r in range(ranges + 1)]
-    resume: tuple[int, object] | None = None  # the next range and the window it continues from
 
     def work(item: int) -> list[int]:
-        nonlocal resume
-        window = resume[1] if resume and resume[0] == item else None
-        blocks, window = blocks_of(bounds[item], bounds[item + 1], window, block_digits, base)
-        resume = item + 1, window
-        return blocks
+        return blocks_of(bounds[item], bounds[item + 1], block_digits, base)
 
     with closing(_fanout.fan_out(work, [hi - lo for lo, hi in zip(bounds, bounds[1:])])) as parts:
         return list(itertools.chain.from_iterable(parts))
@@ -284,8 +258,8 @@ def generate_blocks(spec: SequenceSpec) -> list[int]:
     """Leading blocks of the first ``spec.count`` terms of the family.
 
     pow3 and fibonacci are generated in ranges on every CPU this process may
-    use (see the module docstring); the list is that of one window run from
-    the first term.
+    use, each seeded from its exact predecessor term (see the module
+    docstring); the blocks are the exact ones.
     """
     j, base, n = spec.block_bits, spec.base, spec.count
     if spec.family == "pow3":
@@ -293,7 +267,7 @@ def generate_blocks(spec: SequenceSpec) -> list[int]:
     if spec.family == "fibonacci":
         return _ranged_blocks(_fibonacci_blocks, n, j, base)
     if spec.family == "factorial":  # one range: an exact (lo - 1)! costs about as much as the steps it saves
-        return _product_blocks(1, n + 1, (_ONE, 0), j, base, range(1, n + 1), math.factorial)[0]
+        return _product_blocks(1, n + 1, j, base, range(1, n + 1), math.factorial)
     return [leading_block(v, j, base) for v in rearranged_sequence(n)]
 
 

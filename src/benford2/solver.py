@@ -133,9 +133,12 @@ def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:
 
     Packing is MSB-first, so all extensions of a prefix are contiguous and
     the marginal is a reshape-and-sum.  ``prefix_bits = 0`` collapses to
-    the total; ``prefix_bits = depth`` is the identity.
+    the total; ``prefix_bits = depth`` is the identity.  A vector that is
+    not 1-D, or is empty, raises :class:`ValueError` naming its shape.
     """
     v = np.asarray(probabilities, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"probabilities must be a non-empty 1-D vector, got shape {v.shape}")
     n = v.size
     depth = n.bit_length() - 1
     if n != 1 << depth:

@@ -154,6 +154,30 @@ def test_public_names_resolve_once():
     assert [name for name in benford2.__all__ if not hasattr(benford2, name)] == []
 
 
+# (argv, flag's dest, the library function or dataclass, its parameter or
+# field); verify's budgets are TestVerifyCommand.test_flags_are_run_suite_budgets'
+CLI_DEFAULTS = [
+    (["solve", "--k", "1"], "tolerance", solver.solve, "tolerance"),
+    (["solve", "--k", "1"], "max_iterations", solver.solve, "max_iterations"),
+    (["solve", "--k", "1"], "backend", solver.solve, "backend"),
+    (["table1", "--kmax", "1"], "tolerance", solver.convergence_table, "tolerance"),
+    (["table1", "--kmax", "1"], "backend", solver.convergence_table, "backend"),
+    (["verify"], "suite", analytic.run_suite, "which"),
+    (["empirical", "--family", "pow3", "--n", "1"], "bits", cli.empirical.SequenceSpec, "block_bits"),
+    (["empirical", "--family", "pow3", "--n", "1"], "base", cli.empirical.SequenceSpec, "base"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, dest, function, name", CLI_DEFAULTS, ids=[f"{argv[0]}-{dest}" for argv, dest, *_ in CLI_DEFAULTS]
+)
+def test_cli_defaults_are_the_library_defaults(argv, dest, function, name):
+    # a dataclass's signature is that of its __init__, whose defaults are its fields'
+    parsed = getattr(cli.build_parser().parse_args(argv), dest)
+    default = inspect.signature(function).parameters[name].default
+    assert type(parsed) is type(default) and parsed == default
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])

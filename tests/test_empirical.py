@@ -180,7 +180,7 @@ class TestGenerateBlocks:
 
 
 class TestRanges:
-    """pow3 and fibonacci in ranges of terms on every CPU, each resumed from an exact term."""
+    """pow3 and fibonacci in ranges of terms on every CPU, each seeded from its exact predecessor term."""
 
     MASKS = [set(range(cpus)) for cpus in (1, 2, 3, 4)]
 
@@ -222,8 +222,8 @@ class TestRanges:
     @pytest.mark.parametrize("base", [2, 3, 10, 36])
     @pytest.mark.parametrize("bits", [0, 1, 3])
     def test_resumed_windows_agree_with_exact(self, monkeypatch, forks, family, base, bits):
-        # 2^10-term chunks: 3 * 2^10 + 1 terms are four ranges, three of them
-        # resumed from an exact term on four CPUs
+        # 2^10-term chunks: 3 * 2^10 + 1 terms are four ranges, each seeded
+        # from an exact term, three of them in children on four CPUs
         count = (3 << 10) + 1
         expected = [leading_block(v, bits, base) for v in exact_terms(family, count)]
         monkeypatch.setattr(_fanout, "CHUNK_BITS", 10)
@@ -232,17 +232,17 @@ class TestRanges:
         assert len(forks) == 3
         assert_no_children()
 
-    @pytest.mark.parametrize("cpus, seeds", [({0}, [1]), ({0, 1}, [1, (2 << 10) + 1]), ({0, 1, 2, 3}, [1])])
-    def test_range_after_one_run_here_continues_its_window(self, monkeypatch, forks, cpus, seeds):
-        # four ranges: this process seeds its first range, and any other whose
-        # predecessor ran in a child (range 2 on two CPUs)
+    @pytest.mark.parametrize("cpus, computed", [({0}, [0, 1, 2, 3]), ({0, 1}, [0, 2]), ({0, 1, 2, 3}, [0])])
+    def test_each_range_seeds_from_its_exact_predecessor(self, monkeypatch, forks, cpus, computed):
+        # four ranges of 2^10 terms: this process seeds exactly the ranges it
+        # computes, each from 3^(lo - 1), whatever ran before it here
         seed, seeded = empirical._seed, []
         monkeypatch.setattr(empirical, "_seed", lambda value, base: seeded.append(value) or seed(value, base))
         monkeypatch.setattr(_fanout, "CHUNK_BITS", 10)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         spec = SequenceSpec("pow3", 4 << 10, 3, 10)
         assert generate_blocks(spec) == [leading_block(v, 3, 10) for v in exact_terms("pow3", spec.count)]
-        assert seeded == [3 ** (lo - 1) for lo in seeds]
+        assert seeded == [3 ** (r << 10) for r in computed]
         assert len(forks) == len(cpus) - 1
         assert_no_children()
 
@@ -319,7 +319,7 @@ class TestWindow:
             assert normalized * base**shift <= mantissa < (normalized + 1) * base**shift
 
     def test_seed_rounds_down(self):
-        # a resumed range starts from this window of an exact term
+        # every range starts from this window of an exact term
         rng = random.Random(197)
         for _ in range(500):
             base = rng.randrange(2, 37)

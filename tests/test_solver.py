@@ -214,6 +214,10 @@ class TestAggregate:
             aggregate(solve(2).probabilities, 3)
         with pytest.raises(ValueError):
             aggregate(np.ones(3), 1)
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            aggregate(np.ones((2, 2)), 1)
+        with pytest.raises(ValueError, match=r"shape \(0,\)"):
+            aggregate(np.array([]), 0)
 
 
 class TestBenfordReference:
