@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import closing, contextmanager
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from benford2 import _fanout, analytic, empirical, transition
 from benford2.dyadic import MAX_DUMP_DEPTH, check_int
@@ -50,6 +50,30 @@ def _sink(out: str | None) -> Iterator[TextIO]:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
         with handle:
             yield handle
+
+
+PIECE_BITS = 12  # solve formats and writes 2^12 rows at a time; matrix writes one target row at a time
+
+# solve's and matrix's JSON is json.dumps(payload, indent=2) written piecewise:
+# a head from the payload's scalars, the items of its one list in pieces (each
+# after a comma but the first), and _JSON_TAIL.  Each item is json's layout of
+# a dict whose values are bit strings and finite floats, which json prints as
+# their repr.
+_JSON_TAIL = "\n  ]\n}\n"
+
+
+def _json_head(summary: dict, key: str) -> str:
+    """What ``json.dumps({**summary, key: [...]}, indent=2)`` prints before the list's first item."""
+    return json.dumps(summary, indent=2).removesuffix("\n}") + f',\n  "{key}": [\n'
+
+
+def _write_pieces(out: TextIO, head: str, pieces: Iterable[str], tail: str) -> None:
+    """Write ``head``, each piece as it is made, then ``tail``: one piece's text is held at a time."""
+    out.write(head)
+    for text in pieces:
+        out.write(text)
+        del text  # frees the piece's text before the next one is made
+    out.write(tail)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,35 +145,30 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
         "rel_err": abs(report.p10 - reference) / reference,
     }
     if args.format == "json":
-        # json.dumps(payload, indent=2) written piecewise: the summary still goes
-        # through json, and each row is json's layout with a finite float, which
-        # json prints as its repr
-        head = json.dumps(summary, indent=2).removesuffix("\n}") + ',\n  "probabilities": [\n'
-        tail = "\n  ]\n}\n"
+        head, tail = _json_head(summary, "probabilities"), _JSON_TAIL
     else:
         head = "block,p\n"
         tail = " ".join(f"{key}={value}" for key, value in summary.items()) + "\n"
-    low = min(args.k, _fanout.CHUNK_BITS)
+    low = min(args.k, PIECE_BITS)
     suffixes = [format(i, f"0{low}b") for i in range(1 << low)]
 
-    def rows(chunk: int) -> str:
-        # the rows of one chunk share their leading bits: label = prefix + suffix
-        prefix = format((1 << (args.k - low)) | chunk, "b")
-        values = report.probabilities[chunk << low : (chunk + 1) << low].tolist()
+    def rows(piece: int) -> str:
+        # the rows of one piece share their leading bits: label = prefix + suffix
+        prefix = format((1 << (args.k - low)) | piece, "b")
+        values = report.probabilities[piece << low : (piece + 1) << low].tolist()
         if args.format == "json":
             lines = [
                 f'    {{\n      "block": "{prefix}{suffix}",\n      "p": {value!r}\n    }}'
                 for suffix, value in zip(suffixes, values)
             ]
-            return ",\n".join([""] + lines if chunk else lines)
+            return ",\n".join([""] + lines if piece else lines)
         return "".join([f"{prefix}{suffix},{value!r}\n" for suffix, value in zip(suffixes, values)])
 
-    out.write(head)
-    with closing(_fanout.fan_out(rows, [1 << low] * (1 << (args.k - low)))) as chunks:
-        for text in chunks:
-            out.write(text)
-            del text  # frees the chunk's text before the next one is read
-    out.write(tail)
+    # a solve of at most 2^CHUNK_BITS rows is formatted here (no share outweighs its
+    # whole weight); a longer one gives every other worker's share to a child
+    floor = 0 if args.k > _fanout.CHUNK_BITS else 1 << args.k
+    with closing(_fanout.fan_out(rows, [1 << low] * (1 << (args.k - low)), floor)) as pieces:
+        _write_pieces(out, head, pieces, tail)
     return 0
 
 
@@ -172,19 +191,24 @@ def _cmd_table1(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
     n = 1 << check_int(args.k, "--k", 1, MAX_DUMP_DEPTH)  # a dump prints 4^k rows
     labels = [format(value, "b") for value in range(n, 2 * n)]
-    rows = [
-        (x, a, value)
-        for x, values in zip(labels, transition.build_dense(args.k).tolist())
-        for a, value in zip(labels, values)
-    ]
+    dense = transition.build_dense(args.k)
+
+    def rows(i: int) -> str:
+        # the entries of target row x, one per scale block alpha
+        x, values = labels[i], dense[i].tolist()
+        if args.format == "json":
+            lines = [
+                f'    {{\n      "x_bits": "{x}",\n      "alpha_bits": "{a}",\n      "value": {value!r}\n    }}'
+                for a, value in zip(labels, values)
+            ]
+            return ",\n".join([""] + lines if i else lines)
+        return "".join([f"{x},{a},{value!r}\n" for a, value in zip(labels, values)])
+
     if args.format == "json":
-        entries = [{"x_bits": x, "alpha_bits": a, "value": value} for x, a, value in rows]
-        text = json.dumps({"k": args.k, "entries": entries}, indent=2) + "\n"
+        head, tail = _json_head({"k": args.k}, "entries"), _JSON_TAIL
     else:
-        lines = ["x_bits,alpha_bits,value"]
-        lines += [f"{x},{a},{value!r}" for x, a, value in rows]
-        text = "\n".join(lines) + "\n"
-    out.write(text)
+        head, tail = "x_bits,alpha_bits,value\n", ""
+    _write_pieces(out, head, map(rows, range(n)), tail)
     return 0
 
 

@@ -39,7 +39,7 @@ import math
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from benford2 import _fanout
 from benford2.dyadic import MAX_REPORT_ROWS, DepthError, check_int
@@ -242,6 +242,13 @@ def _ranged_blocks(blocks_of: Callable, count: int, block_digits: int, base: int
         return list(itertools.chain.from_iterable(parts))
 
 
+def _interleave(count: int) -> Iterator[int]:
+    """The first ``count`` terms of :func:`rearranged_sequence`, one at a time."""
+    non_multiples = (v for v in itertools.count(1) if v % 4)
+    multiples = itertools.count(4, 4)
+    return (next(multiples) if i % 2 else next(non_multiples) for i in range(count))
+
+
 def rearranged_sequence(count: int) -> list[int]:
     """First terms of the interleave putting a multiple of 4 in every other slot.
 
@@ -249,9 +256,7 @@ def rearranged_sequence(count: int) -> list[int]:
     multiples of four in order: 1, 4, 2, 8, 3, 12, 5, 16, ...
     """
     check_int(count, "count", 1)
-    non_multiples = (v for v in itertools.count(1) if v % 4)
-    multiples = itertools.count(4, 4)
-    return [next(multiples) if i % 2 else next(non_multiples) for i in range(count)]
+    return list(_interleave(count))
 
 
 def generate_blocks(spec: SequenceSpec) -> list[int]:
@@ -330,7 +335,7 @@ def frequency_report(blocks: Iterable[int], block_bits: int, base: int = 2) -> F
 def rearrangement_demo(count: int) -> tuple[float, float]:
     """Occurrence frequency of multiples of four, natural vs rearranged.
 
-    Builds the first ``count`` terms of the naturals and of the interleaved
+    Walks the first ``count`` terms of the naturals and of the interleaved
     rearrangement and counts divisibility by four in each; the first
     frequency approaches 1/4, the second 1/2, although both sequences run
     over the same set of integers.
@@ -338,5 +343,5 @@ def rearrangement_demo(count: int) -> tuple[float, float]:
     check_int(count, "count", 4)
     natural = range(1, count + 1)
     natural_freq = sum(1 for v in natural if v % 4 == 0) / count
-    rearranged_freq = sum(1 for v in rearranged_sequence(count) if v % 4 == 0) / count
+    rearranged_freq = sum(1 for v in _interleave(count) if v % 4 == 0) / count
     return natural_freq, rearranged_freq

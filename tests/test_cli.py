@@ -19,7 +19,7 @@ import pytest
 from conftest import DEPTH2_PRINTED, MUTATIONS, assert_no_children, run_fresh
 
 import benford2
-from benford2 import _fanout, analytic, cli, solver
+from benford2 import _fanout, analytic, cli, solver, transition
 from benford2.analytic import VerificationReport
 from benford2.solver import ConvergenceError, convergence_table, solve
 
@@ -49,7 +49,7 @@ PINNED_STDOUT = {
     "solve --k 3": "c8feeb13bdd0a2e3b3e34ea891aecc49937a8b892f50eb95e67406e0355a5aa4",
     "solve --k 4": "c8683e58fb2aa7f30816a08b16b310755050a4864f6f046a469ebc3e0d5ef6f2",
     "solve --k 4 --format json": "e177a08f172d25ea9c26c8a3dbd3cca852e2366914b5a5b51420097f6079014c",
-    # 2^17 rows: two chunks of _fanout.CHUNK_BITS = 16
+    # 2^17 rows: 32 pieces of cli.PIECE_BITS = 12, past the 2^16 rows that fork nothing
     "solve --k 17": "a1ae2e03cbef7cf73cbdac100b39637e46b3ecab0a51fe53d74884733f6ddbcb",
     "solve --k 17 --format json": "4a479d2a29c033d32e1111f1b66810d302d84e3f0bcc04d60922cd818cb7fe4b",
     "table1 --kmax 6": "63758c189fa989c5a43d6c2b25e95f26b8852925c9c398f4b9e6ae374dab2d10",
@@ -58,6 +58,9 @@ PINNED_STDOUT = {
     "table1 --kmax 11 --backend dense": "4710d4e81dfb7dc14d78a918859e4f09b7cf928536b7a2bcea5da3dc380dfc77",
     "matrix --k 2": "8086c1c9d64b06af899eeefd0bb5f651823f5a91ac62f15157bbc4757e878a90",
     "matrix --k 2 --format json": "ecc33d40a0f2d7e4624b604dbb80d1cbc7e4c1917116adaf4d6ec39622066e6d",
+    "matrix --k 4 --format json": "6c996df7cbb571411140f897e8cefa29e747c2da134a3578a8c91274306e75eb",
+    # the benchmark's command: 4^8 entries
+    "matrix --k 8": "56cf9a356215bf396680bd594aab19cf68c7a5ab07af9537dd2810776da1b120",
     "empirical --family pow3 --n 500 --bits 2": "1dfdacd05db0afbaa8c8b2470774f6fe666ce75a0e8ba155caa42b7e7dbbec39",
     "empirical --family rearranged --n 100": "e66802f0c078c5182153221b35c278505bb234aebebb863b64a9ab0953414063",
     " ".join(VERIFY_QUICK): "040ce278f60eff2481776ea18f8be0ea92021db6d2333a6707beee79c186a613",
@@ -104,30 +107,62 @@ def run_cli(capsys, *argv):
 def spawn_peak_rss(*argv, timeout=120):
     """Exit code and peak RSS in KiB of ``python -m benford2.cli argv``, stdout discarded.
 
-    The child is forked, then exec'd.  A posix_spawn child shares this
-    process's memory until its exec, and Linux carries that peak into the
-    child's ``ru_maxrss``: the reading would be this test process's peak
-    whenever that is the larger.
+    The command is started by perfbench's ``launch.py``, a fresh interpreter
+    forked from here and exec'd.  Linux carries the starting process's RSS
+    into the child's ``ru_maxrss`` across exec: all of it for posix_spawn,
+    the anonymous pages for fork.  Started from this test process, the
+    command would read this process's size whenever that is the larger;
+    started from the launcher, it reads at least the launcher's own few MB.
     """
-    argv = [sys.executable, "-m", "benford2.cli", *argv]
+    read_fd, write_fd = os.pipe()
+    argv = [sys.executable, str(PERFBENCH / "launch.py"), str(write_fd), sys.executable, "-m", "benford2.cli", *argv]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     pid = os.fork()
     if pid == 0:
         try:
+            os.setpgid(0, 0)  # the launcher and the command: one group to kill
+            os.set_inheritable(write_fd, True)
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
             os.execve(sys.executable, argv, env)
         finally:
             os._exit(127)
-    deadline = time.monotonic() + timeout
-    while True:
-        reaped, status, usage = os.wait4(pid, os.WNOHANG)
-        if reaped:
-            return os.waitstatus_to_exitcode(status), usage.ru_maxrss  # KiB on Linux
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.wait4(pid, 0)
-            pytest.fail(f"{' '.join(argv[3:])} did not finish in {timeout} s")
-        time.sleep(0.05)
+    os.close(write_fd)
+    with open(read_fd, "rb") as report:
+        deadline = time.monotonic() + timeout
+        while not os.wait4(pid, os.WNOHANG)[0]:
+            if time.monotonic() > deadline:
+                os.killpg(pid, signal.SIGKILL)
+                os.wait4(pid, 0)
+                pytest.fail(f"{' '.join(argv[6:])} did not finish in {timeout} s")
+            time.sleep(0.05)
+        _, peak_kib, code = report.read().split()
+    return int(code), int(peak_kib)  # KiB on Linux
+
+
+def peak_over_start_kib(*argv):
+    """Peak RSS in KiB of a command over that of ``solve --k 1``, which imports numpy and solves a 2-vector."""
+    _, start_kib = spawn_peak_rss("solve", "--k", "1")
+    code, peak_kib = spawn_peak_rss(*argv)
+    assert code == 0
+    return peak_kib - start_kib
+
+
+# what one piece of output may hold at once: 2^12 rows or one matrix row,
+# each as a float, a row text and its share of the piece's text, with slack
+PIECE_KIB = 4 * 1024
+
+
+def recorded_writes(monkeypatch):
+    """The list of the texts that the command writes to its sink, one per write."""
+    writes = []
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_sink", lambda path: contextlib.nullcontext(Stream()))
+    return writes
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
@@ -308,7 +343,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_chunk_size_keeps_bytes(self, capsys, monkeypatch, chunk_bits, fmt):
         _, whole, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
-        monkeypatch.setattr(_fanout, "CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(cli, "PIECE_BITS", chunk_bits)
         code, chunked, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
         assert code == 0
         assert chunked == whole
@@ -317,7 +352,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("chunk_bits", [1, 2])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fan_out_keeps_bytes(self, capsys, monkeypatch, forks, chunk_bits, fmt, cpus):
-        monkeypatch.setattr(_fanout, "CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(cli, "PIECE_BITS", chunk_bits)
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", 4)  # a solve past 2^4 rows forks
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         workers = min(len(os.sched_getaffinity(0)), 1 << (5 - chunk_bits))
@@ -352,15 +388,16 @@ class TestSolveCommand:
         argv = ["solve", "--k", "17", "--out", str(tmp_path / "out.csv")]
         if error is None:
             assert cli.main(argv) == 0
-        else:  # the second write is the first chunk: the child has been forked
+        else:  # the second write is the first piece: the children have been forked
             with pytest.raises(error):
                 cli.main(argv)
-        assert len(forks) == 1
+        assert len(forks) == 2  # 32 pieces over three CPUs
         assert_no_children()
 
     @pytest.mark.parametrize("failure", ["raises", "raises-late", "bad-frame", "not-a-str", "no-fork"])
     def test_failed_child_falls_back(self, capsys, monkeypatch, forks, failure):
-        monkeypatch.setattr(_fanout, "CHUNK_BITS", 1)  # 16 chunks
+        monkeypatch.setattr(cli, "PIECE_BITS", 1)  # 16 pieces
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", 4)  # a solve past 2^4 rows forks
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         _, whole, _ = run_cli(capsys, "solve", "--k", "5")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -368,12 +405,12 @@ class TestSolveCommand:
         if failure.startswith("raises"):
             fan_out = _fanout.fan_out
 
-            def flaky(format_chunk, weights, floor=0):
-                def format_or_fail(chunk):
-                    # "raises-late": each child sends its first chunk, then fails
-                    if os.getpid() != parent and (failure == "raises" or chunk > 2):
+            def flaky(format_piece, weights, floor=0):
+                def format_or_fail(piece):
+                    # "raises-late": each child sends its first piece, then fails
+                    if os.getpid() != parent and (failure == "raises" or piece > 2):
                         raise RuntimeError("formatting failed in the child")
-                    return format_chunk(chunk)
+                    return format_piece(piece)
 
                 return fan_out(format_or_fail, weights, floor)
 
@@ -401,6 +438,23 @@ class TestSolveCommand:
         code, peak_kib = spawn_peak_rss("solve", "--k", "18", "--format", "json")
         assert code == 0
         assert peak_kib < 128 * 1024
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["one-cpu", "three-cpus"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_write_holds_one_piece(self, monkeypatch, forks, fmt, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(_fanout, "CHUNK_BITS", 13)  # a solve past 2^13 rows forks
+        writes = recorded_writes(monkeypatch)
+        assert cli.main(["solve", "--k", "14", "--format", fmt]) == 0
+        assert len(forks) == len(cpus) - 1
+        rows = [text.count('"block"') if fmt == "json" else text.count("\n") for text in writes]
+        # the head, four pieces of 2^12 rows, the tail; in CSV the head and the tail are a line each
+        edge = 1 if fmt == "csv" else 0
+        assert rows == [edge, *[1 << 12] * 4, edge]
+
+    def test_peak_rss_is_two_iterates_and_one_piece(self):
+        # the solve holds two 2^18-float iterates at once; the rows are written a piece at a time
+        assert peak_over_start_kib("solve", "--k", "18", "--format", "json") < 2 * 8 * (1 << 18) // 1024 + PIECE_KIB
 
 
 class TestTable1Command:
@@ -542,6 +596,31 @@ class TestMatrixCommand:
         payload = json.loads(out)
         assert len(payload["entries"]) == 4
         assert json.dumps(payload, indent=2) + "\n" == out
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_json_is_json_dumps_of_the_dense_matrix(self, capsys, k):
+        labels = [format(value, "b") for value in range(1 << k, 2 << k)]
+        dense = transition.build_dense(k)
+        entries = [
+            {"x_bits": x, "alpha_bits": a, "value": float(dense[i, j])}
+            for i, x in enumerate(labels)
+            for j, a in enumerate(labels)
+        ]
+        code, out, _ = run_cli(capsys, "matrix", "--k", str(k), "--format", "json")
+        assert code == 0
+        assert out == json.dumps({"k": k, "entries": entries}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_write_holds_one_target_row(self, monkeypatch, fmt):
+        writes = recorded_writes(monkeypatch)
+        assert cli.main(["matrix", "--k", "8", "--format", fmt]) == 0
+        entries = [text.count('"value"') if fmt == "json" else text.count("\n") for text in writes]
+        # the head (in CSV one line), 2^8 target rows of 2^8 entries each, the tail
+        assert entries == [1 if fmt == "csv" else 0, *[1 << 8] * (1 << 8), 0]
+
+    def test_peak_rss_is_the_matrix_and_one_row(self):
+        # build_dense's 4^8 floats and its 4^8-byte mask; the entries are written a row at a time
+        assert peak_over_start_kib("matrix", "--k", "8") < (8 + 1) * (1 << 16) // 1024 + PIECE_KIB
 
 
 class TestVerifyCommand:
@@ -751,6 +830,14 @@ class TestEmpiricalCommand:
         freqs = {line.split(",")[0]: float(line.split(",")[1]) for line in lines[1:]}
         assert freqs["natural"] == pytest.approx(0.25, abs=1e-3)
         assert freqs["rearranged"] == pytest.approx(0.5, abs=1e-3)
+
+    def test_rearranged_demo_holds_no_sequence(self):
+        # 200 000 ints in a list would be about 7 MB
+        code, small_kib = spawn_peak_rss("empirical", "--family", "rearranged", "--n", "4")
+        assert code == 0
+        code, peak_kib = spawn_peak_rss("empirical", "--family", "rearranged", "--n", "200000")
+        assert code == 0
+        assert peak_kib < small_kib + 2 * 1024
 
     def test_pow3_binary_report(self, capsys):
         code, out, _ = run_cli(
