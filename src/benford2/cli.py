@@ -149,20 +149,21 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     else:
         head = "block,p\n"
         tail = " ".join(f"{key}={value}" for key, value in summary.items()) + "\n"
+    from benford2 import _reprs  # loaded here, before any fork, and by no other command
+
     low = min(args.k, PIECE_BITS)
-    suffixes = [format(i, f"0{low}b") for i in range(1 << low)]
+    suffixes = "".join([format(i, f"0{low}b") for i in range(1 << low)]).encode("ascii")
+    if args.format == "json":
+        comma, before, middle, after = b",\n", b'    {\n      "block": "', b'",\n      "p": ', b"\n    }"
+    else:
+        comma, before, middle, after = b"", b"", b",", b"\n"
 
     def rows(piece: int) -> str:
-        # the rows of one piece share their leading bits: label = prefix + suffix
-        prefix = format((1 << (args.k - low)) | piece, "b")
-        values = report.probabilities[piece << low : (piece + 1) << low].tolist()
-        if args.format == "json":
-            lines = [
-                f'    {{\n      "block": "{prefix}{suffix}",\n      "p": {value!r}\n    }}'
-                for suffix, value in zip(suffixes, values)
-            ]
-            return ",\n".join([""] + lines if piece else lines)
-        return "".join([f"{prefix}{suffix},{value!r}\n" for suffix, value in zip(suffixes, values)])
+        # the rows of one piece share their leading bits: label = prefix + suffix;
+        # a JSON row starts with the comma that ends the row before it, but the first
+        prefix = format((1 << (args.k - low)) | piece, "b").encode()
+        values = report.probabilities[piece << low : (piece + 1) << low]
+        return _reprs.rows_text(comma + before + prefix, suffixes, middle, values, after, 0 if piece else len(comma))
 
     # a solve of at most 2^CHUNK_BITS rows is formatted here (no share outweighs its
     # whole weight); a longer one gives every other worker's share to a child

@@ -83,6 +83,8 @@ def _as_bit(bit: int) -> int:
     try:
         return operator.index(bit)
     except TypeError:
+        if isinstance(bit, np.bool_):  # numpy's bool has no __index__, but a bool is a bit
+            return int(bit)
         raise TypeError(f"bit {bit!r} is not an int") from None
 
 
@@ -90,8 +92,8 @@ def validate_bits(bits: Iterable[int]) -> Bits:
     """The bits as a tuple of 0/1 ints, within the vector depth budget.
 
     One rule for bits, which :func:`excess_population` applies too: an
-    integer (a ``bool`` or a numpy integer included) equal to 0 or 1 is a
-    bit; any other type, a float or a string included, raises
+    integer (a ``bool``, a numpy integer or a numpy bool included) equal to
+    0 or 1 is a bit; any other type, a float or a string included, raises
     :class:`TypeError` instead of being truncated or parsed, and any other
     integer :class:`ValueError`.
     """

@@ -23,9 +23,11 @@ from benford2 import _fanout
 from benford2._lazy import lazy_import, load_deferred
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
+    MAX_HARMONIC_LEVEL,
     MAX_VECTOR_DEPTH,
     as_block_value,
     check_int,
+    harmonic_block_sum,
 )
 from benford2.transition import apply_dense, apply_fast, build_dense
 
@@ -126,6 +128,31 @@ def solve(
         p10=float(p10),
         p11=float(p11),
     )
+
+
+def _closed_form(depth: int) -> tuple[float, float]:
+    """p10 and p11 at ``depth`` from exact harmonic sums instead of iteration.
+
+    With n = 2^depth the fixed point is proportional to 1/(V+1) over the
+    block values V in [n, 2n), so p10 = (H_{3n/2} - H_n) / (H_{2n} - H_n)
+    and p11 = (H_{2n} - H_{3n/2}) / (H_{2n} - H_n).  Each difference is a
+    correctly rounded block sum S(V, l) of :func:`harmonic_block_sum` less
+    one term:
+
+    - H_{3n/2} - H_n = S(2, depth - 1) - 1/(3n),
+    - H_{2n} - H_{3n/2} = S(3, depth - 1) - 1/(6n),
+    - H_{2n} - H_n = S(1, depth) - 1/(2n).
+
+    Depth 1 would need a sum at level 0, so it returns 4/7 and 3/7 directly.
+    """
+    check_int(depth, "depth", 1, MAX_HARMONIC_LEVEL)
+    if depth == 1:
+        return 4 / 7, 3 / 7
+    n = 1 << depth
+    whole = harmonic_block_sum(0b1, depth) - 1 / (2 * n)
+    head = harmonic_block_sum(0b10, depth - 1) - 1 / (3 * n)
+    tail = harmonic_block_sum(0b11, depth - 1) - 1 / (6 * n)
+    return head / whole, tail / whole
 
 
 def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:

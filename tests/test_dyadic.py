@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -206,12 +207,20 @@ class TestValidateBitsParity:
             lambda: [np.uint8(1), np.int32(0)],
             lambda: np.array([1, 0], dtype=np.uint8),
             lambda: [1] * MAX_VECTOR_DEPTH,
+            lambda: [np.bool_(True), np.bool_(False)],
+            lambda: np.array([True, False, True]),
         ],
     )
     def test_same_tuple(self, make):
         out = validate_bits(make())
         assert out == reference_validate_bits(make())
         assert all(type(b) is int for b in out)
+
+    @pytest.mark.parametrize("make", [lambda: [np.bool_(True), np.bool_(False)], lambda: np.array([True, False, True])])
+    def test_numpy_bools_are_bits_to_excess_population_too(self, make):
+        bits = validate_bits(make())
+        for x in itertools.product((0, 1), repeat=len(bits)):
+            assert excess_population(make(), x) == excess_population(bits, x)
 
     @pytest.mark.parametrize("bits", [[1, 2], [0, -1], [True, 2], (2,)])
     def test_same_value_error(self, bits):

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import DEPTH2_EXACT, DEPTH2_MARGINAL_PRINTED, DEPTH2_PRINTED
 from benford2.dyadic import DepthError
 from benford2.solver import (
     ConvergenceError,
+    _closed_form,
     aggregate,
     benford_reference,
     convergence_table,
@@ -310,3 +312,51 @@ class TestErrorDecayRatios:
         ratios = [b.rel_err / a.rel_err for a, b in zip(table10, table10[1:])]
         for ratio in ratios[1:9]:  # rel_err(k)/rel_err(k-1) for k = 3..10
             assert 0.4 <= ratio <= 0.6
+
+
+def harmonic_gap(a, b):
+    """H_b - H_a = sum of 1/m over a < m <= b, as (numerator, denominator), by binary splitting."""
+    if b - a == 1:
+        return 1, b
+    mid = (a + b) // 2
+    (p, q), (r, s) = harmonic_gap(a, mid), harmonic_gap(mid, b)
+    return p * s + r * q, q * s
+
+
+def euler_maclaurin_gap(a, b):
+    """H_b - H_a to 40 digits: ln(b/a) and the Euler-Maclaurin terms through N^-8."""
+    with localcontext() as context:
+        context.prec = 40
+        a, b = Decimal(a), Decimal(b)
+        total = (b / a).ln()
+        for coefficient, power in ((Decimal(1) / 2, 1), (Decimal(-1) / 12, 2), (Decimal(1) / 120, 4),
+                                   (Decimal(-1) / 252, 6), (Decimal(1) / 240, 8)):
+            total += coefficient * (1 / b**power - 1 / a**power)
+        return total
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("depth", range(1, 15))
+    def test_within_two_ulp_of_the_exact_fraction(self, depth):
+        n = 1 << depth
+        (p, q), (r, s) = harmonic_gap(n, 3 * n // 2), harmonic_gap(3 * n // 2, 2 * n)
+        # p10 = (p/q) / (p/q + r/s); int / int is correctly rounded, as float(Fraction) is
+        whole = p * s + r * q
+        for got, exact in zip(_closed_form(depth), (p * s / whole, r * q / whole)):
+            assert abs(got - exact) <= 2 * math.ulp(exact), (depth, got, exact)
+
+    def test_depth_one_is_four_sevenths(self):
+        assert _closed_form(1) == (float(Fraction(4, 7)), float(Fraction(3, 7)))
+
+    @pytest.mark.parametrize("depth", [16, 20, 24])
+    def test_matches_euler_maclaurin(self, depth):
+        n = 1 << depth
+        whole = euler_maclaurin_gap(n, 2 * n)
+        exact = (euler_maclaurin_gap(n, 3 * n // 2) / whole, euler_maclaurin_gap(3 * n // 2, 2 * n) / whole)
+        for got, value in zip(_closed_form(depth), exact):
+            assert abs(Decimal(got) - value) <= Decimal("4e-16") * value, (depth, got, value)
+
+    @pytest.mark.parametrize("depth", [0, 27])
+    def test_depth_outside_the_harmonic_budget(self, depth):
+        with pytest.raises(DepthError):
+            _closed_form(depth)
