@@ -1,9 +1,10 @@
 """Independent items of work spread over the CPUs this process may use.
 
 :func:`fan_out` yields ``work(0)``, ..., ``work(n - 1)`` in order, computing
-some of them in forked children.  It has four callers: ``solve`` formats
-its rows through it in pieces of 2^``cli.PIECE_BITS`` (forking only past
-2^CHUNK_BITS rows), ``convergence_table`` solves its depths through it,
+some of them in forked children.  It has four callers: ``solve`` and
+``matrix`` format their rows through it in pieces of 2^``cli.PIECE_BITS``
+(forking only past 2^CHUNK_BITS rows, which no matrix dump has),
+``convergence_table`` solves its depths through it,
 ``verify`` (``analytic.run_suite``) runs its suites through it, and
 ``empirical`` (``generate_blocks``) generates the ranges of terms of pow3
 and fibonacci through it.  Every caller's ``work(i)`` depends on ``i``
@@ -26,8 +27,9 @@ from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
-# the work worth a fork: solve forks only past 2^16 rows, table1 only for a share
-# above 2^16 entries, and empirical generates ranges of up to 2^16 terms
+# the work worth a fork: solve forks only past 2^16 rows (matrix never: 4^8 rows at
+# most), table1 only for a share above 2^16 entries, and empirical generates ranges
+# of up to 2^16 terms
 CHUNK_BITS = 16
 _SIZE_BYTES = 8  # each frame a child sends starts with its size
 

@@ -1,4 +1,4 @@
-"""``repr`` of many floats at once, byte for byte, and the rows ``solve`` prints them in.
+"""``repr`` of many floats at once, byte for byte, and the table rows ``solve`` and ``matrix`` print.
 
 CPython's ``repr(float)`` prints the shortest decimal that reads back as the
 same float, and of those the nearest, ties to an even last digit (Gay's
@@ -21,8 +21,8 @@ The fast path covers finite x in [1e-11, 1) whose m is not a power of two
 (5^p < 2^63 needs p <= 27; at a power of two the interval is lopsided).
 Every other value, and any whose scaled digits fall outside
 [10^16, 10^17), is printed by ``repr`` itself.  :func:`rows_text` lays
-the prints out in ``solve``'s rows.  numpy is loaded on the first call,
-not at import.
+the prints out in the rows of ``solve``'s and ``matrix``'s tables.  numpy
+is loaded on the first call, not at import.
 
 Every integer step stays in ``uint64``: an ``int64`` operand would promote
 the arithmetic to float64 and lose the low bits without an error.
@@ -97,22 +97,21 @@ def float_reprs(values: ArrayLike) -> tuple[NDArray, NDArray]:
     return out, lengths
 
 
-def rows_text(head: bytes, labels: bytes, middle: bytes, values: ArrayLike, tail: bytes, skip: int) -> str:
-    """The rows head + label + middle + repr(value) + tail, one per value, as
-    one text without its first ``skip`` bytes; ``labels`` holds the rows'
-    labels, all of one length, back to back.
+def rows_text(fields: list, values: ArrayLike, tail: bytes, skip: int) -> str:
+    """The rows ``fields`` + repr(value) + ``tail``, one per value, as one text
+    without its first ``skip`` bytes.  A field is bytes that every row shares
+    or a ``uint8`` matrix with each row's own bytes, one row per value.
 
     The rows are laid out side by side in one byte matrix, and a mask drops
     the padding of each print from :func:`float_reprs`.
     """
     chars, lengths = float_reprs(values)
     n, width = chars.shape
-    head, middle, tail = (np.frombuffer(text, dtype=np.uint8) for text in (head, middle, tail))
-    labels = np.frombuffer(labels, dtype=np.uint8).reshape(n, -1)
-    fields = [head, labels, middle, chars, tail]
+    fields = [np.frombuffer(field, dtype=np.uint8) if isinstance(field, bytes) else field for field in fields]
+    start = sum(field.shape[-1] for field in fields)
+    fields += [chars, np.frombuffer(tail, dtype=np.uint8)]
     table = np.hstack([np.broadcast_to(field, (n, field.shape[-1])) for field in fields])
     keep = np.ones(table.shape, dtype=bool)
-    start = head.size + labels.shape[1] + middle.size
     keep[:, start : start + width] = np.arange(width) < lengths[:, None]
     keep[0, :skip] = False
     return str(table[keep].data, "ascii")

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import closing, contextmanager
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 from benford2 import _fanout, analytic, empirical, transition
 from benford2.dyadic import MAX_DUMP_DEPTH, check_int
@@ -52,27 +52,57 @@ def _sink(out: str | None) -> Iterator[TextIO]:
             yield handle
 
 
-PIECE_BITS = 12  # solve formats and writes 2^12 rows at a time; matrix writes one target row at a time
-
-# solve's and matrix's JSON is json.dumps(payload, indent=2) written piecewise:
-# a head from the payload's scalars, the items of its one list in pieces (each
-# after a comma but the first), and _JSON_TAIL.  Each item is json's layout of
-# a dict whose values are bit strings and finite floats, which json prints as
-# their repr.
-_JSON_TAIL = "\n  ]\n}\n"
+PIECE_BITS = 12  # solve and matrix lay out and write their tables 2^12 rows at a time
 
 
-def _json_head(summary: dict, key: str) -> str:
-    """What ``json.dumps({**summary, key: [...]}, indent=2)`` prints before the list's first item."""
-    return json.dumps(summary, indent=2).removesuffix("\n}") + f',\n  "{key}": [\n'
+def _write_table(
+    out: TextIO, args: argparse.Namespace, names: tuple[str, ...], values, summary: dict, footer: str, key: str
+) -> None:
+    """Write one row per entry of the flat float64 array ``values``: a label per name but the last
+    (1 and the bits of a base-2^k digit of the row's number, most significant first), then the value.
+    CSV is a line of ``names``, the rows and ``footer``; JSON is ``json.dumps({**summary, key: rows},
+    indent=2)``.  The rows are laid out 2^PIECE_BITS at a time through ``fan_out``, one write each.
+    """
+    import numpy as np
 
+    from benford2 import _reprs  # loaded here, before any fork, and only by solve and matrix
 
-def _write_pieces(out: TextIO, head: str, pieces: Iterable[str], tail: str) -> None:
-    """Write ``head``, each piece as it is made, then ``tail``: one piece's text is held at a time."""
+    # a row is its template's bytes around each \0, which stands for a label's bits or the value;
+    # in JSON the template is json's layout of the row's dict, and json prints a finite float as its repr
+    if args.format == "json":
+        head = json.dumps(summary, indent=2).removesuffix("\n}") + f',\n  "{key}": [\n'
+        tail, comma = "\n  ]\n}\n", ",\n"
+        cells = [f'"{name}": "1\0"' for name in names[:-1]] + [f'"{names[-1]}": \0']
+        row = comma + "    {\n      " + ",\n      ".join(cells) + "\n    }"
+    else:
+        head, tail, comma = ",".join(names) + "\n", footer, ""
+        row = ",".join(["1\0"] * (len(names) - 1) + ["\0"]) + "\n"
+    *before, after = row.encode("ascii").split(b"\0")
+    k, bits = args.k, args.k * (len(names) - 1)  # the bits of a row's number
+    low = min(bits, PIECE_BITS)  # those that vary within a piece; the others are the piece's number
+    high = bits - low
+    # the ASCII of the low bits of a piece's rows, one row of the matrix per row of the table
+    low_bits = np.array([format(i, f"0{low}b") for i in range(1 << low)], dtype=f"S{low}")
+    low_bits = low_bits.view(np.uint8).reshape(-1, low)
+
+    def rows(piece: int) -> str:
+        shared = format((1 << high) | piece, "b")[1:].encode("ascii")  # the high bits of the piece's rows
+        fields = []
+        for j, text in enumerate(before[:-1]):
+            first, last = j * k, (j + 1) * k  # label j's bits
+            fields += [text + shared[first:last], low_bits[:, max(first - high, 0) : max(last - high, 0)]]
+        fields.append(before[-1])
+        # a JSON row starts with the comma that ends the row before it, but the first
+        return _reprs.rows_text(fields, values[piece << low : (piece + 1) << low], after, 0 if piece else len(comma))
+
+    # a table of at most 2^CHUNK_BITS rows is formatted here (no share outweighs
+    # its whole weight); a longer one gives every other worker's share to a child
+    floor = 0 if bits > _fanout.CHUNK_BITS else 1 << bits
     out.write(head)
-    for text in pieces:
-        out.write(text)
-        del text  # frees the piece's text before the next one is made
+    with closing(_fanout.fan_out(rows, [1 << low] * (1 << high), floor)) as pieces:
+        for text in pieces:
+            out.write(text)
+            del text  # frees the piece's text before the next one is made
     out.write(tail)
 
 
@@ -144,32 +174,8 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
         "benford_p10": reference,
         "rel_err": abs(report.p10 - reference) / reference,
     }
-    if args.format == "json":
-        head, tail = _json_head(summary, "probabilities"), _JSON_TAIL
-    else:
-        head = "block,p\n"
-        tail = " ".join(f"{key}={value}" for key, value in summary.items()) + "\n"
-    from benford2 import _reprs  # loaded here, before any fork, and by no other command
-
-    low = min(args.k, PIECE_BITS)
-    suffixes = "".join([format(i, f"0{low}b") for i in range(1 << low)]).encode("ascii")
-    if args.format == "json":
-        comma, before, middle, after = b",\n", b'    {\n      "block": "', b'",\n      "p": ', b"\n    }"
-    else:
-        comma, before, middle, after = b"", b"", b",", b"\n"
-
-    def rows(piece: int) -> str:
-        # the rows of one piece share their leading bits: label = prefix + suffix;
-        # a JSON row starts with the comma that ends the row before it, but the first
-        prefix = format((1 << (args.k - low)) | piece, "b").encode()
-        values = report.probabilities[piece << low : (piece + 1) << low]
-        return _reprs.rows_text(comma + before + prefix, suffixes, middle, values, after, 0 if piece else len(comma))
-
-    # a solve of at most 2^CHUNK_BITS rows is formatted here (no share outweighs its
-    # whole weight); a longer one gives every other worker's share to a child
-    floor = 0 if args.k > _fanout.CHUNK_BITS else 1 << args.k
-    with closing(_fanout.fan_out(rows, [1 << low] * (1 << (args.k - low)), floor)) as pieces:
-        _write_pieces(out, head, pieces, tail)
+    footer = " ".join(f"{key}={value}" for key, value in summary.items()) + "\n"
+    _write_table(out, args, ("block", "p"), report.probabilities, summary, footer, "probabilities")
     return 0
 
 
@@ -190,26 +196,9 @@ def _cmd_table1(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
-    n = 1 << check_int(args.k, "--k", 1, MAX_DUMP_DEPTH)  # a dump prints 4^k rows
-    labels = [format(value, "b") for value in range(n, 2 * n)]
+    check_int(args.k, "--k", 1, MAX_DUMP_DEPTH)  # a dump prints 4^k rows
     dense = transition.build_dense(args.k)
-
-    def rows(i: int) -> str:
-        # the entries of target row x, one per scale block alpha
-        x, values = labels[i], dense[i].tolist()
-        if args.format == "json":
-            lines = [
-                f'    {{\n      "x_bits": "{x}",\n      "alpha_bits": "{a}",\n      "value": {value!r}\n    }}'
-                for a, value in zip(labels, values)
-            ]
-            return ",\n".join([""] + lines if i else lines)
-        return "".join([f"{x},{a},{value!r}\n" for a, value in zip(labels, values)])
-
-    if args.format == "json":
-        head, tail = _json_head({"k": args.k}, "entries"), _JSON_TAIL
-    else:
-        head, tail = "x_bits,alpha_bits,value\n", ""
-    _write_pieces(out, head, map(rows, range(n)), tail)
+    _write_table(out, args, ("x_bits", "alpha_bits", "value"), dense.reshape(-1), {"k": args.k}, "", "entries")
     return 0
 
 

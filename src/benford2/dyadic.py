@@ -38,10 +38,10 @@ np = lazy_import("numpy")
 Bits = tuple[int, ...]
 
 # Resource budgets.  Vector-shaped work allocates 2^k entries, dense matrix
-# work allocates 4^k entries, Python loops over all 4^k matrix entries (a
-# matrix dump, the counting oracle) stop at MAX_DUMP_DEPTH, a frequency
-# report names and prints at most MAX_REPORT_ROWS blocks, and the integer
-# counting oracle walks numbers of k+padding bits.
+# work allocates 4^k entries, a matrix dump (4^k rows) and the counting
+# oracle (4^k pairs) stop at MAX_DUMP_DEPTH, a frequency report names and
+# prints at most MAX_REPORT_ROWS blocks, and the integer counting oracle
+# walks numbers of k+padding bits.
 MAX_VECTOR_DEPTH = 24
 MAX_DENSE_DEPTH = 12
 MAX_DUMP_DEPTH = 8

@@ -147,8 +147,8 @@ def peak_over_start_kib(*argv):
     return peak_kib - start_kib
 
 
-# what one piece of output may hold at once: 2^12 rows or one matrix row,
-# each as a float, a row text and its share of the piece's text, with slack
+# what one piece of output may hold at once: 2^12 rows, each as a float, its
+# print, a row of the piece's byte matrix and its share of the text, with slack
 PIECE_KIB = 4 * 1024
 
 
@@ -163,6 +163,15 @@ def recorded_writes(monkeypatch):
 
     monkeypatch.setattr(cli, "_sink", lambda path: contextlib.nullcontext(Stream()))
     return writes
+
+
+def assert_piece_size_keeps_bytes(capsys, monkeypatch, piece_bits, *argv):
+    """The command prints the same bytes in pieces of 2^piece_bits rows as in pieces of 2^12."""
+    _, whole, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "PIECE_BITS", piece_bits)
+    code, pieced, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert pieced == whole
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
@@ -342,11 +351,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("chunk_bits", [1, 2])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_chunk_size_keeps_bytes(self, capsys, monkeypatch, chunk_bits, fmt):
-        _, whole, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
-        monkeypatch.setattr(cli, "PIECE_BITS", chunk_bits)
-        code, chunked, _ = run_cli(capsys, "solve", "--k", "5", "--format", fmt)
-        assert code == 0
-        assert chunked == whole
+        assert_piece_size_keeps_bytes(capsys, monkeypatch, chunk_bits, "solve", "--k", "5", "--format", fmt)
 
     @pytest.mark.parametrize("cpus", [None, {0, 1, 2}], ids=["own-mask", "three-cpus"])
     @pytest.mark.parametrize("chunk_bits", [1, 2])
@@ -597,7 +602,7 @@ class TestMatrixCommand:
         assert len(payload["entries"]) == 4
         assert json.dumps(payload, indent=2) + "\n" == out
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])  # k = 8: 16 pieces, joined by commas
     def test_json_is_json_dumps_of_the_dense_matrix(self, capsys, k):
         labels = [format(value, "b") for value in range(1 << k, 2 << k)]
         dense = transition.build_dense(k)
@@ -610,16 +615,24 @@ class TestMatrixCommand:
         assert code == 0
         assert out == json.dumps({"k": k, "entries": entries}, indent=2) + "\n"
 
+    @pytest.mark.parametrize("chunk_bits", [1, 2])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_each_write_holds_one_target_row(self, monkeypatch, fmt):
+    def test_chunk_size_keeps_bytes(self, capsys, monkeypatch, chunk_bits, fmt):
+        # a piece of 2 or 4 entries is shorter than a target row of 8: the rows straddle pieces
+        assert_piece_size_keeps_bytes(capsys, monkeypatch, chunk_bits, "matrix", "--k", "3", "--format", fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_write_holds_one_piece(self, monkeypatch, forks, fmt):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         writes = recorded_writes(monkeypatch)
         assert cli.main(["matrix", "--k", "8", "--format", fmt]) == 0
+        assert forks == []  # 4^8 = 2^16 entries are the floor of fan_out: nothing forks
         entries = [text.count('"value"') if fmt == "json" else text.count("\n") for text in writes]
-        # the head (in CSV one line), 2^8 target rows of 2^8 entries each, the tail
-        assert entries == [1 if fmt == "csv" else 0, *[1 << 8] * (1 << 8), 0]
+        # the head (in CSV one line), 16 pieces of 2^12 entries each, the tail
+        assert entries == [1 if fmt == "csv" else 0, *[1 << 12] * 16, 0]
 
     def test_peak_rss_is_the_matrix_and_one_row(self):
-        # build_dense's 4^8 floats and its 4^8-byte mask; the entries are written a row at a time
+        # build_dense's 4^8 floats and its 4^8-byte mask; the entries are written a piece of 2^12 at a time
         assert peak_over_start_kib("matrix", "--k", "8") < (8 + 1) * (1 << 16) // 1024 + PIECE_KIB
 
 

@@ -1,11 +1,11 @@
-"""The vectorized float printer gives exactly ``repr`` for every element."""
+"""The vectorized float printer gives exactly ``repr`` for every element, and lays rows out as a join would."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benford2._reprs import float_reprs
+from benford2._reprs import float_reprs, rows_text
 from benford2.solver import solve
 from benford2.transition import build_dense
 
@@ -60,3 +60,26 @@ def test_empty():
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=50))
 def test_any_float_in_the_unit_interval(values):
     assert_reprs(values)
+
+
+# fast-path values beside ones that go to repr itself: a power-of-two mantissa, 1, a subnormal, zero
+ROW_VALUES = [0.1, 0.5, 2 / 3, 1.0, 5e-324, 1e-12, 0.0, 0.123456789]
+
+
+@pytest.mark.parametrize("widths", [(), (3,), (4, 0), (2, 5)], ids=["no-labels", "one", "one-and-empty", "two"])
+@pytest.mark.parametrize("skip", [0, 3])
+def test_rows_text_is_a_join_of_its_fields(widths, skip):
+    n = len(ROW_VALUES)
+    rng = np.random.default_rng(len(widths))
+    labels = [rng.integers(ord("0"), ord("9") + 1, (n, width), dtype=np.uint8) for width in widths]
+    fields = [b',\n  {"', b""]
+    for j, label in enumerate(labels):
+        fields += [label, f'", "{j}": "'.encode()]
+    fields.append(b'": ')
+    text = "".join(
+        "".join(field.decode() if isinstance(field, bytes) else field[i].tobytes().decode() for field in fields)
+        + repr(value)
+        + "}"
+        for i, value in enumerate(ROW_VALUES)
+    )
+    assert rows_text(fields, np.array(ROW_VALUES), b"}", skip) == text[skip:]
