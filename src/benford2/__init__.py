@@ -37,7 +37,6 @@ from benford2.empirical import (
     frequency_report,
     generate_blocks,
     leading_block,
-    rearranged_sequence,
     rearrangement_demo,
 )
 from benford2.solver import (
@@ -89,7 +88,6 @@ __all__ = [
     "matrix_element_exact",
     "normalization_check",
     "pack_bits",
-    "rearranged_sequence",
     "rearrangement_demo",
     "run_suite",
     "series_partial_sum",

@@ -133,9 +133,8 @@ def normalization_check(depth: int) -> VerificationReport:
     )
 
 
-def _bit_grid(depth: int, samples: int, seed: int) -> list[Bits]:
-    """Deterministic test vectors: all-zeros, all-ones, alternating, random."""
-    rng = random.Random(seed)
+def _bit_grid(depth: int, samples: int, rng: random.Random) -> list[Bits]:
+    """Deterministic test vectors: all-zeros, all-ones, alternating, then ``samples`` drawn from ``rng``."""
     grid: list[Bits] = [
         (0,) * depth,
         (1,) * depth,
@@ -279,7 +278,7 @@ def _check_integral(reports: list[VerificationReport], depths: Sequence[int]) ->
     )
 
 
-def _check_series(reports: list[VerificationReport], length: int, samples: int, seed: int) -> None:
+def _check_series(reports: list[VerificationReport], length: int, samples: int, rng: random.Random) -> None:
     # Term R depends only on the first R bits, so a vector's partial sum is
     # its parent prefix's sum plus one term; walk the prefix tree depth-first.
     mismatches = 0
@@ -306,7 +305,7 @@ def _check_series(reports: list[VerificationReport], length: int, samples: int, 
 
     # tail bound toward the full limit 1/(2-t): |partial(R) - limit| <= 2^(1-R)
     worst_ratio = 0.0
-    for tb in _bit_grid(length, samples, seed):
+    for tb in _bit_grid(length, samples, rng):
         limit = 1 / (2 - truncate(tb, length))
         partial = Fraction(1, 2)
         for r in range(1, length + 1):
@@ -383,17 +382,17 @@ def run_suite(
     are derived from the budget, so shrunken budgets stay rigorous.
     Check failures are reported, never raised; an unknown suite, an
     out-of-range budget or a repeated depth, level or padding raises
-    ``ValueError``, and a budget that is not an ``int`` ``TypeError``,
-    before any suite runs.
+    ``ValueError``, and a budget that is not an ``int`` or a seed that
+    ``random.Random`` refuses ``TypeError``, before any suite runs.
 
     The selected suites are the items of :func:`benford2._fanout.fan_out`,
     with equal weights, so on W CPUs suite i runs in worker i mod W; this
     process is worker 0 and runs the first suite (matrix, under "all").
     ``samples`` and ``seed`` set only the series suite's random vectors,
-    which it draws from its own ``random.Random(seed)``.  A suite sends back
-    its reports as ``(identity, params, error, bound)`` tuples of ``str``
-    and ``float``, which marshal carries exactly, so the reports are those
-    of running every suite here.
+    which it draws from one ``random.Random(seed)``, built with the budget
+    checks.  A suite sends back its reports as ``(identity, params, error,
+    bound)`` tuples of ``str`` and ``float``, which marshal carries exactly,
+    so the reports are those of running every suite here.
     """
     choices = SUITES + ("all",)
     if which not in choices:
@@ -416,6 +415,7 @@ def run_suite(
         # makes fewer than 2^(MAX_VECTOR_DEPTH + 1) grid terms, 8 to 13 ns each
         if len(set(values)) < len(values):
             raise ValueError(f"{name} repeats an entry: {list(values)}")
+    rng = random.Random(seed)
 
     def check(item: int) -> list[tuple[str, str, float, float]]:
         reports: list[VerificationReport] = []
@@ -425,7 +425,7 @@ def run_suite(
         elif name == "integral":
             _check_integral(reports, riemann_depths)
         elif name == "series":
-            _check_series(reports, series_length, samples, seed)
+            _check_series(reports, series_length, samples, rng)
         elif name == "harmonic":
             _check_harmonic(reports, harmonic_levels)
         return [astuple(report) for report in reports]

@@ -243,20 +243,15 @@ def _ranged_blocks(blocks_of: Callable, count: int, block_digits: int, base: int
 
 
 def _interleave(count: int) -> Iterator[int]:
-    """The first ``count`` terms of :func:`rearranged_sequence`, one at a time."""
+    """The first ``count`` terms of the naturals rearranged to put a multiple of 4 in every other slot.
+
+    Odd slots walk the non-multiples of four in order, even slots walk the
+    multiples of four in order: 1, 4, 2, 8, 3, 12, 5, 16, ...  The terms
+    are yielded one at a time, so no list of them is built.
+    """
     non_multiples = (v for v in itertools.count(1) if v % 4)
     multiples = itertools.count(4, 4)
     return (next(multiples) if i % 2 else next(non_multiples) for i in range(count))
-
-
-def rearranged_sequence(count: int) -> list[int]:
-    """First terms of the interleave putting a multiple of 4 in every other slot.
-
-    Odd slots walk the non-multiples of four in order, even slots walk the
-    multiples of four in order: 1, 4, 2, 8, 3, 12, 5, 16, ...
-    """
-    check_int(count, "count", 1)
-    return list(_interleave(count))
 
 
 def generate_blocks(spec: SequenceSpec) -> list[int]:
@@ -273,7 +268,7 @@ def generate_blocks(spec: SequenceSpec) -> list[int]:
         return _ranged_blocks(_fibonacci_blocks, n, j, base)
     if spec.family == "factorial":  # one range: an exact (lo - 1)! costs about as much as the steps it saves
         return _product_blocks(1, n + 1, j, base, range(1, n + 1), math.factorial)
-    return [leading_block(v, j, base) for v in rearranged_sequence(n)]
+    return [leading_block(v, j, base) for v in _interleave(n)]
 
 
 def check_report_rows(block_bits: int, base: int) -> None:

@@ -180,8 +180,9 @@ def benford_reference(block: int, base: int = 2) -> float:
 
     A block or base that is not an ``int`` (a ``bool`` included) raises
     :class:`TypeError`; a block below 1 or a base below 2 :class:`ValueError`.
+    ``1 / value`` is int true division, correctly rounded at any size.
     """
-    return math.log1p(1.0 / as_block_value(block)) / math.log(check_int(base, "base", 2))
+    return math.log1p(1 / as_block_value(block)) / math.log(check_int(base, "base", 2))
 
 
 def convergence_table(

@@ -315,6 +315,14 @@ class TestRunSuite:
             run_suite("all", **budget)
         assert calls == []
 
+    def test_refused_seed_raises_before_any_suite(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("fan_out reached with a seed random.Random refuses")
+
+        monkeypatch.setattr(analytic._fanout, "fan_out", reached)
+        with pytest.raises(TypeError, match="seed types"):
+            run_suite("all", seed=[1])
+
     def test_every_distinct_depth_passes_the_guard(self, monkeypatch):
         # the widest grid: each depth once, 2^25 - 2 terms; samples size only
         # the series grid

@@ -4,6 +4,7 @@ import operator
 import os
 import random
 import re
+import tracemalloc
 
 import pytest
 from conftest import assert_no_children, run_fresh
@@ -22,7 +23,6 @@ from benford2.empirical import (
     frequency_report,
     generate_blocks,
     leading_block,
-    rearranged_sequence,
     rearrangement_demo,
 )
 from benford2.solver import benford_reference
@@ -121,6 +121,18 @@ class TestGenerateBlocks:
         spec = SequenceSpec("rearranged", count=8, block_bits=1, base=2)
         expected = [leading_block(v, 1, 2) for v in [1, 4, 2, 8, 3, 12, 5, 16]]
         assert generate_blocks(spec) == expected
+
+    def test_rearranged_blocks_hold_no_list_of_terms(self):
+        # the blocks are read from a generator of the terms: past the list of
+        # blocks, 8 bytes a term, nothing grows with the count
+        count = 200_000
+        tracemalloc.start()
+        try:
+            generate_blocks(SequenceSpec("rearranged", count, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count + (1 << 20), peak
 
     @pytest.mark.parametrize("family", ["pow3", "fibonacci", "factorial"])
     @pytest.mark.parametrize("base", [2, 10])
@@ -437,9 +449,14 @@ class TestFrequencyReport:
         assert [r[1] for r in rows] == [2, 1]
 
 
+def rearranged_terms(count: int) -> list[int]:
+    """The first ``count`` rearranged terms: 21-digit blocks keep every term below 2^21 whole."""
+    return generate_blocks(SequenceSpec("rearranged", count, 20))
+
+
 class TestRearrangement:
     def test_listed_prefix(self):
-        assert rearranged_sequence(8) == [1, 4, 2, 8, 3, 12, 5, 16]
+        assert rearranged_terms(8) == [1, 4, 2, 8, 3, 12, 5, 16]
 
     def test_prefix_membership_frequency(self):
         natural, rearranged = rearrangement_demo(8)
@@ -453,7 +470,7 @@ class TestRearrangement:
 
     def test_is_bijective_rearrangement(self):
         for n in (5, 50, 500):
-            terms = rearranged_sequence(2 * n)
+            terms = rearranged_terms(2 * n)
             assert len(set(terms)) == 2 * n  # no duplicates
             multiples = [v for v in terms if v % 4 == 0]
             assert multiples == [4 * i for i in range(1, n + 1)]
@@ -465,8 +482,8 @@ class TestRearrangement:
         with pytest.raises(ValueError):
             rearrangement_demo(3)
         with pytest.raises(ValueError):
-            rearranged_sequence(0)
+            rearranged_terms(0)
         with pytest.raises(TypeError, match="count True is not an int"):
-            rearranged_sequence(True)
+            rearranged_terms(True)
         with pytest.raises(TypeError, match="count 8.0 is not an int"):
             rearrangement_demo(8.0)

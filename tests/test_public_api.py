@@ -66,7 +66,6 @@ INT_ARGUMENTS = {
     ("matrix_element_exact", "target"): lambda x: benford2.matrix_element_exact(x, 0b10),
     ("matrix_element_exact", "scale"): lambda x: benford2.matrix_element_exact(0b10, x),
     ("normalization_check", "depth"): lambda x: benford2.normalization_check(x),
-    ("rearranged_sequence", "count"): lambda x: benford2.rearranged_sequence(x),
     ("rearrangement_demo", "count"): lambda x: benford2.rearrangement_demo(x),
     ("run_suite", "series_length"): lambda x: benford2.run_suite("series", series_length=x),
     ("run_suite", "oracle_depth"): lambda x: benford2.run_suite("matrix", oracle_depth=x),

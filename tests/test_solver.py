@@ -236,6 +236,14 @@ class TestBenfordReference:
             total = sum(benford_reference(v) for v in range(1 << depth, 2 << depth))
             assert abs(total - 1.0) <= 1e-12
 
+    # 1 / V is int true division: V is never converted to a float, which overflows past 2^1024
+    def test_block_past_the_float_range(self):
+        assert benford_reference(1 << 1100) == 0.0
+
+    def test_subnormal_reference(self):
+        expected = math.ldexp(1 / (3 * math.log(2)), -1023)
+        assert abs(benford_reference(3 << 1023) - expected) <= 1e-12 * expected
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             benford_reference(0b10, 1)
@@ -333,6 +341,50 @@ def euler_maclaurin_gap(a, b):
                                    (Decimal(-1) / 252, 6), (Decimal(1) / 240, 8)):
             total += coefficient * (1 / b**power - 1 / a**power)
         return total
+
+
+def rel_err_series(order):
+    """r_1, ..., r_order with rel_err = sum of r_j 2^(-jk) + O(2^(-(order+1)k)) for the exact p10 at depth k.
+
+    With n = 2^k, p10 = (H_{3n/2} - H_n) / (H_{2n} - H_n) and rel_err =
+    (log2 1.5 - p10) / log2 1.5.  By Euler-Maclaurin H_{bn} - H_n = ln b + sum of
+    g_j(b) n^-j with g_1 = (1/b - 1)/2, g_2 = -(1/b^2 - 1)/12, g_3 = 0 and
+    g_4 = (1/b^4 - 1)/120; the quotient's series is taken by power-series division.
+    """
+    def scaled_gap(b):  # (H_{bn} - H_n) / ln b as a series in 1/n
+        g = [math.log(b), (1 / b - 1) / 2, -(1 / b**2 - 1) / 12, 0.0, (1 / b**4 - 1) / 120]
+        return [v / g[0] for v in g[: order + 1]]
+
+    num, den = scaled_gap(1.5), scaled_gap(2.0)
+    quotient = []
+    for j in range(order + 1):
+        quotient.append(num[j] - sum(quotient[i] * den[j - i] for i in range(j)))
+    return [-q for q in quotient[1:]]
+
+
+class TestClosedFormDecay:
+    # rel_err * 2^k = C - D 2^-k + O(4^-k)
+    C = 1 / (6 * math.log(1.5)) - 1 / (4 * math.log(2))
+    D = 5 / (108 * math.log(1.5)) - 1 / (16 * math.log(2)) - C / (4 * math.log(2))
+
+    def test_constants_are_the_series_coefficients(self):
+        r1, r2 = rel_err_series(2)
+        assert (round(self.C, 7), round(self.D, 7)) == (0.0503768, 0.0058427)
+        assert abs(r1 - self.C) <= 1e-15 and abs(-r2 - self.D) <= 1e-15
+
+    @pytest.mark.parametrize("depth", range(14, 25, 2))
+    def test_rel_err_decays_with_the_derived_constants(self, depth):
+        reference = math.log2(1.5)
+        p10 = _closed_form(depth)[0]
+        rel_err = (reference - p10) / reference  # reference - p10 is exact (Sterbenz)
+        residual = rel_err * 2.0**depth - (self.C - self.D * 2.0**-depth)
+        # the next two series terms bound residual * 4^k; past them each term is
+        # smaller still by 2^-k.  p10 is within 4e-16 relative (TestClosedForm)
+        # and the reference within an ulp, and 2^k scales both.
+        *_, r3, r4 = rel_err_series(4)
+        e = abs(r3) + abs(r4) * 2.0**-depth
+        eps = 4e-16 + math.ulp(reference) / reference
+        assert abs(residual) <= e * 4.0**-depth + 2.0**depth * eps, (depth, residual)
 
 
 class TestClosedForm:
