@@ -23,7 +23,6 @@ from benford2.dyadic import (
     MAX_VECTOR_DEPTH,
     Bits,
     DepthError,
-    as_block_value,
     excess_population,
     harmonic_block_sum,
     pack_bits,
@@ -75,7 +74,6 @@ __all__ = [
     "aggregate",
     "apply_dense",
     "apply_fast",
-    "as_block_value",
     "benford_reference",
     "brute_force_element",
     "build_dense",

@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 from benford2 import _fanout
 from benford2._lazy import lazy_import, load_deferred
 from benford2.dyadic import (
-    HARMONIC_CHUNK,
     MAX_COUNT_BITS,
     MAX_DUMP_DEPTH,
     MAX_HARMONIC_LEVEL,
@@ -83,8 +82,7 @@ def term_value_by_endpoints(t: Iterable[int], r: int) -> Fraction:
     jumps; the interval always has width 2^-r.
     """
     tb = validate_bits(t)
-    if check_int(r, "r", 1) > len(tb):
-        raise ValueError(f"term index must be in [1, {len(tb)}], got {r}")
+    check_int(r, "r", 1, len(tb))
     upper = 1 - truncate(tb, r - 1)
     lower = upper - Fraction(1, 1 << r)
     return tb[r - 1] * (Fraction(1, 1) / (1 + lower) - Fraction(1, 1) / (1 + upper))
@@ -93,8 +91,7 @@ def term_value_by_endpoints(t: Iterable[int], r: int) -> Fraction:
 def term_value_by_product(t: Iterable[int], r: int) -> Fraction:
     """Term r in product form: 2^-r over (2 - head) * (2 - head - 2^-r)."""
     tb = validate_bits(t)
-    if check_int(r, "r", 1) > len(tb):
-        raise ValueError(f"term index must be in [1, {len(tb)}], got {r}")
+    check_int(r, "r", 1, len(tb))
     head = truncate(tb, r - 1)
     step = Fraction(1, 1 << r)
     return tb[r - 1] * step / ((2 - head) * (2 - head - step))
@@ -107,8 +104,7 @@ def series_partial_sum(t: Iterable[int], terms: int) -> Fraction:
     1 / (2 - truncate(t, R)) as a rational, no approximation involved.
     """
     tb = validate_bits(t)
-    if check_int(terms, "terms", 0) > len(tb):
-        raise ValueError(f"terms must be in [0, {len(tb)}], got {terms}")
+    check_int(terms, "terms", 0, len(tb))
     total = Fraction(1, 2)
     for r in range(1, terms + 1):
         total += term_value_by_endpoints(tb, r)

@@ -3,13 +3,15 @@
 Every subcommand is a pure function of its flags (randomized checks use a
 fixed default seed), writes to standard output unless ``--out`` is given,
 and follows one exit-code contract: 0 on success or all checks passing,
-1 on a computation or verification failure, 2 on a usage error.
+1 on a computation or verification failure or a reader that closed the
+output early, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import closing, contextmanager
 from typing import Iterator, TextIO
@@ -27,7 +29,7 @@ from benford2.solver import (
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -242,9 +244,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # open --out before the handler computes, so a bad path fails at once
         with _sink(args.out) as out:
-            return args.handler(args, out)
+            status = args.handler(args, out)
+            out.flush()  # so a closed pipe raises here, not in the flush at exit
+            return status
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: exit 1, quietly
+        if out is sys.__stdout__:  # what it still buffers goes to /dev/null, so the flush at exit raises nothing
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), out.fileno())
         return 1
     except ValueError as exc:  # DepthError included: every out-of-range input
         parser.error(str(exc))

@@ -3,9 +3,9 @@
 Every positive integer written in base 2 starts with a 1, so a leading
 block of 1+k significant digits is fully described by the k bits after the
 first one, or by its value V in [2^k, 2^(k+1)): every block argument is
-that value, checked by :func:`as_block_value`.  Every integer argument of
-the library (a depth, level, padding, count, digit count, base or block)
-goes through :func:`check_int`, the one rule for them.  V - 2^k packs the bits, so
+that value.  Every integer argument of the library (a block, depth, level,
+padding, count, digit count, base or term index) goes through
+:func:`check_int`, the one rule for them.  V - 2^k packs the bits, so
 integer order is dyadic order (0.b1b2...bk as a fraction), which lets the
 vector and matrix layers index 2^k-sized arrays with ordinary integer
 comparisons and suffix scans.  Bits, most-significant-first as a tuple of
@@ -55,25 +55,26 @@ HARMONIC_CHUNK = 1 << 12
 
 
 class DepthError(ValueError):
-    """An input lies outside its resource budget: a budgeted integer argument
-    outside [least, budget] (see :func:`check_int`), depth 0 included where
-    the least is 1, or a size derived from the input, such as a bit count
-    or a report's rows, past its cap."""
+    """An input lies outside its range: an integer argument outside
+    [least, most] (see :func:`check_int`), whether ``most`` is a resource
+    budget or set by the other arguments, or a size derived from the input,
+    such as a bit count or a report's rows, past its cap."""
 
 
-def check_int(value: int, name: str, least: int, budget: int | None = None) -> int:
+def check_int(value: int, name: str, least: int, most: int | None = None) -> int:
     """Return ``value`` if it is an ``int`` in range, else raise.
 
     Anything but an ``int`` (a ``bool`` included) raises :class:`TypeError`
-    naming ``name``; with a ``budget``, a value outside [least, budget]
-    raises :class:`DepthError`, and without one a value below ``least``
-    :class:`ValueError`.
+    naming ``name``; with a ``most``, a value outside [least, most] raises
+    :class:`DepthError`, and without one a value below ``least``
+    :class:`ValueError`.  ``most`` is a resource budget or a bound set by
+    the other arguments, such as the number of bits a term index may reach.
     """
     if type(value) is not int:
         raise TypeError(f"{name} {value!r} is not an int")
-    if budget is not None:
-        if not least <= value <= budget:
-            raise DepthError(f"{name} must be in [{least}, {budget}], got {value}")
+    if most is not None:
+        if not least <= value <= most:
+            raise DepthError(f"{name} must be in [{least}, {most}], got {value}")
     elif value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
@@ -116,16 +117,14 @@ def pack_bits(bits: Bits) -> int:
 def unpack_bits(packed: int, depth: int) -> Bits:
     """Inverse of :func:`pack_bits` for a known depth."""
     check_int(depth, "depth", 0, MAX_VECTOR_DEPTH)
-    if check_int(packed, "packed", 0) >= 1 << depth:
-        raise ValueError(f"packed value {packed} does not fit in {depth} bits")
+    check_int(packed, "packed", 0, (1 << depth) - 1)
     return tuple((packed >> (depth - 1 - i)) & 1 for i in range(depth))
 
 
 def truncate(bits: Iterable[int], places: int) -> Fraction:
     """Exact value of the fraction cut after its first ``places`` bits."""
     out = validate_bits(bits)
-    if check_int(places, "places", 0) > len(out):
-        raise ValueError(f"places must be in [0, {len(out)}], got {places}")
+    check_int(places, "places", 0, len(out))
     return Fraction(pack_bits(out[:places]), 1 << places)
 
 
@@ -176,13 +175,6 @@ def excess_population(alpha: ArrayLike, x: ArrayLike) -> int | NDArray:
     return int(total) if total.ndim == 0 else total
 
 
-def as_block_value(block: int) -> int:
-    """Check a block given as its value, such as ``0b101``: anything but an
-    ``int`` (a ``bool`` included) raises :class:`TypeError` and a value
-    below 1 :class:`ValueError`."""
-    return check_int(block, "block", 1)
-
-
 def harmonic_block_sum(block: int, level: int) -> float:
     """Sum of 1/n over the block's scaled range [V*2^level, (V+1)*2^level).
 
@@ -205,7 +197,7 @@ def harmonic_block_sum(block: int, level: int) -> float:
       m; one rounding to float and an exact ldexp by -(j+53) give the
       correctly rounded sum.
     """
-    value = as_block_value(block)
+    value = check_int(block, "block", 1)
     check_int(level, "level", 1, MAX_HARMONIC_LEVEL)
     if (value << level).bit_length() > 62:
         raise DepthError(f"scaled block value 2^{level} * {value} exceeds the numeric range")

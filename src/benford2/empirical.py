@@ -54,11 +54,10 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 def _check_digits_and_base(digits: int, base: int, name: str = "block_bits") -> None:
     """Refuse a digit count or base that is not an ``int`` (a ``bool`` included)
-    with :class:`TypeError`, and a negative digit count or a base that
-    ``_DIGITS`` cannot name with :class:`ValueError`."""
+    with :class:`TypeError`, a negative digit count with :class:`ValueError`,
+    and a base that ``_DIGITS`` cannot name with :class:`DepthError`."""
     check_int(digits, name, 0)
-    if check_int(base, "base", 2) > len(_DIGITS):
-        raise ValueError(f"base must be in [2, {len(_DIGITS)}], got {base}")
+    check_int(base, "base", 2, len(_DIGITS))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_HARMONIC_LEVEL,
     MAX_VECTOR_DEPTH,
-    as_block_value,
     check_int,
     harmonic_block_sum,
 )
@@ -170,8 +169,7 @@ def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:
     depth = n.bit_length() - 1
     if n != 1 << depth:
         raise ValueError(f"vector length {n} is not a power of two")
-    if check_int(prefix_bits, "prefix_bits", 0) > depth:
-        raise ValueError(f"prefix_bits must be in [0, {depth}], got {prefix_bits}")
+    check_int(prefix_bits, "prefix_bits", 0, depth)
     return v.reshape(1 << prefix_bits, -1).sum(axis=1)
 
 
@@ -182,7 +180,7 @@ def benford_reference(block: int, base: int = 2) -> float:
     :class:`TypeError`; a block below 1 or a base below 2 :class:`ValueError`.
     ``1 / value`` is int true division, correctly rounded at any size.
     """
-    return math.log1p(1 / as_block_value(block)) / math.log(check_int(base, "base", 2))
+    return math.log1p(1 / check_int(block, "block", 1)) / math.log(check_int(base, "base", 2))
 
 
 def convergence_table(

@@ -64,7 +64,7 @@ PINNED_STDOUT = {
     "empirical --family pow3 --n 500 --bits 2": "1dfdacd05db0afbaa8c8b2470774f6fe666ce75a0e8ba155caa42b7e7dbbec39",
     "empirical --family rearranged --n 100": "e66802f0c078c5182153221b35c278505bb234aebebb863b64a9ab0953414063",
     " ".join(VERIFY_QUICK): "040ce278f60eff2481776ea18f8be0ea92021db6d2333a6707beee79c186a613",
-    # levels below and past analytic.HARMONIC_CHUNK = 2^12 terms
+    # levels below and past dyadic.HARMONIC_CHUNK = 2^12 terms
     "verify --suite harmonic --harmonic-levels 3,13,17": "2fdff1cf66c144c7b28ee78398a086c05e2d26d97ec7d6341b140eaf3471fd6e",
     # the default budgets and seed
     "verify --suite all": "ac0e93b2c5f913933ae4254ebc796f3f23efec07cb3b9f867c505914ee5e3aac",
@@ -323,6 +323,28 @@ class TestSolveCommand:
         _, out, _ = run_cli(capsys, "solve", "--k", "3", "--format", "json")
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            # the reader takes the header and goes, as `| head -1` does; 2^17 rows fork a writer child
+            (["solve", "--k", "17"], b"block,p\n"),
+            # the reader goes before the one write, which stdout buffers until main flushes it
+            (["table1", "--kmax", "3"], None),
+        ],
+        ids=["solve", "table1"],
+    )
+    def test_closed_pipe_exits_1_quietly(self, argv, header, buffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONUNBUFFERED="" if buffered else "1")
+        with subprocess.Popen(
+            [sys.executable, "-m", "benford2.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as process:
+            if header:
+                assert process.stdout.readline() == header
+            process.stdout.close()
+            assert process.wait(timeout=120) == 1
+            assert process.stderr.read() == b""
+
     def test_depth_guard_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["solve", "--k", "30"])
@@ -391,9 +413,12 @@ class TestSolveCommand:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(cli, "_sink", lambda path: contextlib.nullcontext(Stream()))
         argv = ["solve", "--k", "17", "--out", str(tmp_path / "out.csv")]
+        # the second write is the first piece: the children have been forked
         if error is None:
             assert cli.main(argv) == 0
-        else:  # the second write is the first piece: the children have been forked
+        elif error is BrokenPipeError:  # a reader that stopped early: exit 1
+            assert cli.main(argv) == 1
+        else:
             with pytest.raises(error):
                 cli.main(argv)
         assert len(forks) == 2  # 32 pieces over three CPUs
@@ -680,6 +705,8 @@ class TestVerifyCommand:
             ["--suite", "integral", "--riemann-depths", "10,10"],
             ["--suite", "harmonic", "--harmonic-levels", "6,6"],
             ["--suite", "matrix", "--oracle-paddings", "8,8"],
+            ["--suite", "integral", "--riemann-depths", "6,,8"],
+            ["--suite", "matrix", "--oracle-paddings", "8,"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, budget):

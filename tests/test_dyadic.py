@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,13 +10,14 @@ from benford2.analytic import term_value_by_endpoints
 from benford2.dyadic import (
     MAX_VECTOR_DEPTH,
     DepthError,
-    as_block_value,
     excess_population,
+    harmonic_block_sum,
     pack_bits,
     truncate,
     unpack_bits,
     validate_bits,
 )
+from benford2.solver import benford_reference
 
 RNG = random.Random(1702)
 
@@ -166,16 +168,26 @@ class TestTruncate:
             truncate((1, 0), -1)
 
 
-class TestAsBlockValue:
-    def test_variants(self):
-        assert as_block_value(0b11) == 3
-        assert as_block_value(7) == 7
+# a block is given as its value, 0b11 for block 11, and checked by check_int
+BLOCK_FUNCTIONS = {
+    "benford_reference": (benford_reference, math.log2(4 / 3)),
+    "harmonic_block_sum": (lambda block: harmonic_block_sum(block, 4), math.fsum(1 / n for n in range(48, 64))),
+}
 
-    def test_invalid(self):
-        with pytest.raises(TypeError, match="'11'"):
-            as_block_value("11")
-        with pytest.raises(ValueError):
-            as_block_value(0)
+
+@pytest.mark.parametrize("name", sorted(BLOCK_FUNCTIONS))
+class TestBlockArgument:
+    def test_value(self, name):
+        function, expected = BLOCK_FUNCTIONS[name]
+        assert function(0b11) == pytest.approx(expected, rel=1e-15)
+
+    def test_invalid(self, name):
+        function, _ = BLOCK_FUNCTIONS[name]
+        with pytest.raises(TypeError, match="^block '11' is not an int$"):
+            function("11")
+        with pytest.raises(ValueError, match="^block must be >= 1, got 0$") as raised:
+            function(0)
+        assert raised.type is ValueError  # no upper bound, so not a DepthError
 
 
 def test_validate_bits_accepts_iterables():

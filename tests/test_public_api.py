@@ -7,7 +7,8 @@ attribute they touch; each public name must be among them.
 
 Every integer parameter of a public function goes through
 ``dyadic.check_int``: a ``bool`` or a float raises ``TypeError`` naming the
-parameter.
+parameter, and one with an upper bound raises ``DepthError`` on either side
+of its range, with one message format.
 """
 
 import ast
@@ -48,7 +49,6 @@ VECTOR = np.full(4, 0.25)
 INT_ARGUMENTS = {
     ("aggregate", "prefix_bits"): lambda x: benford2.aggregate(VECTOR, x),
     ("apply_fast", "depth"): lambda x: benford2.apply_fast(VECTOR, x),
-    ("as_block_value", "block"): lambda x: benford2.as_block_value(x),
     ("benford_reference", "block"): lambda x: benford2.benford_reference(x),
     ("benford_reference", "base"): lambda x: benford2.benford_reference(0b10, x),
     ("brute_force_element", "target"): lambda x: benford2.brute_force_element(x, 0b10, 4),
@@ -87,6 +87,58 @@ INT_ARGUMENTS = {
 }
 # Integer parameters outside the rule: a seed is anything random.Random takes.
 NOT_CHECKED = {("run_suite", "seed")}
+
+
+# [least, most] of every integer parameter with an upper bound, for its call
+# in INT_ARGUMENTS: VECTOR has depth 2 and the bits (1, 0) length 2, so the
+# bounds that depend on the other arguments are 2, and 2^2 - 1 for a packed
+# value; brute_force_element's blocks have depth 1 and run_suite's oracle
+# depth is 6, leaving 40 - 1 and 40 - 6 bits of padding.
+INT_RANGES = {
+    ("aggregate", "prefix_bits"): (0, 2),
+    ("apply_fast", "depth"): (1, 24),
+    ("brute_force_element", "padding"): (1, 39),
+    ("build_dense", "depth"): (1, 12),
+    ("convergence_table", "max_depth"): (1, 24),
+    ("frequency_report", "base"): (2, 36),
+    ("harmonic_block_sum", "level"): (1, 26),
+    ("leading_block", "base"): (2, 36),
+    ("normalization_check", "depth"): (0, 24),
+    ("run_suite", "series_length"): (1, 16),
+    ("run_suite", "oracle_depth"): (1, 8),
+    ("run_suite", "samples"): (0, 1024),
+    ("run_suite", "riemann_depths"): (1, 24),
+    ("run_suite", "harmonic_levels"): (1, 26),
+    ("run_suite", "oracle_paddings"): (1, 34),
+    ("series_partial_sum", "terms"): (0, 2),
+    ("SequenceSpec", "base"): (2, 36),
+    ("solve", "depth"): (1, 24),
+    ("term_value_by_endpoints", "r"): (1, 2),
+    ("term_value_by_product", "r"): (1, 2),
+    ("truncate", "places"): (0, 2),
+    ("unpack_bits", "packed"): (0, 3),
+    ("unpack_bits", "depth"): (0, 24),
+}
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("case", sorted(INT_RANGES), ids="{0[0]}.{0[1]}".format)
+def test_integer_outside_its_range_is_a_depth_error(case, side):
+    least, most = INT_RANGES[case]
+    value = least - 1 if side == "below" else most + 1
+    message = f"{case[1]} must be in [{least}, {most}], got {value}"
+    with pytest.raises(DepthError, match=f"^{re.escape(message)}$"):
+        INT_ARGUMENTS[case](value)
+
+
+def test_no_upper_bound_is_checked_after_check_int():
+    # an upper bound is check_int's fourth argument, never a comparison of its result
+    for path in (ROOT / "src" / "benford2").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                for operand in (node.left, *node.comparators):
+                    called = operand.func if isinstance(operand, ast.Call) else None
+                    assert getattr(called, "id", None) != "check_int", f"{path.name}:{node.lineno}"
 
 
 def integer_parameters():

@@ -1,6 +1,7 @@
 """README.md is the user's manual: it names every public name and every
-flag, its examples parse, and it states no measured time or size (those
-belong to the benchmark's BENCH files, which keep each with its host).
+flag, its examples parse, its test commands are those CI runs, and it
+states no measured time or size (those belong to the benchmark's BENCH
+files, which keep each with its host).
 """
 
 import argparse
@@ -13,7 +14,8 @@ import pytest
 import benford2
 from benford2.cli import build_parser
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def long_flags():
@@ -50,3 +52,11 @@ def test_examples_parse():
 def test_no_measured_figure():
     figures = [line for line in README.splitlines() if re.search(r"\d[\d.]*\s?(ms|s|MB)\b", line)]
     assert figures == []
+
+
+def test_ci_runs_the_documented_test_commands():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    runs = re.findall(r"^\s*- run: (.*)$", workflow, re.M)
+    commands = [run for run in runs if "pip install" not in run]
+    assert len(commands) == 2
+    assert set(commands) <= set(README.splitlines())
