@@ -4,7 +4,8 @@
 some of them in forked children.  It has four callers: ``solve`` and
 ``matrix`` format their rows through it in pieces of 2^``cli.PIECE_BITS``
 (forking only past 2^CHUNK_BITS rows, which no matrix dump has),
-``convergence_table`` solves its depths through it,
+``convergence_table`` solves its depths through it on the ``fast`` and
+``dense`` backends (its default ``closed`` backend forks nothing),
 ``verify`` (``analytic.run_suite``) runs its suites through it, and
 ``empirical`` (``generate_blocks``) generates the ranges of terms of pow3
 and fibonacci through it.  Every caller's ``work(i)`` depends on ``i``
@@ -28,8 +29,8 @@ from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 T = TypeVar("T")
 
 # the work worth a fork: solve forks only past 2^16 rows (matrix never: 4^8 rows at
-# most), table1 only for a share above 2^16 entries, and empirical generates ranges
-# of up to 2^16 terms
+# most), table1's oracles only for a share above 2^16 entries, and empirical
+# generates ranges of up to 2^16 terms
 CHUNK_BITS = 16
 _SIZE_BYTES = 8  # each frame a child sends starts with its size
 

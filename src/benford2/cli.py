@@ -19,6 +19,7 @@ from typing import Iterator, TextIO
 from benford2 import _fanout, analytic, empirical, transition
 from benford2.dyadic import MAX_DUMP_DEPTH, check_int
 from benford2.solver import (
+    _TABLE_BACKENDS,
     BACKENDS,
     ConvergenceError,
     benford_reference,
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="convergence table of the leading-pair probability")
     p.add_argument("--kmax", type=int, required=True, help="largest depth to tabulate")
     p.add_argument("--tolerance", type=float, default=1e-14)
-    p.add_argument("--backend", choices=BACKENDS, default="fast")
+    p.add_argument("--backend", choices=_TABLE_BACKENDS, default="closed")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_out(p)
     p.set_defaults(handler=_cmd_table1)

@@ -201,6 +201,17 @@ def harmonic_block_sum(block: int, level: int) -> float:
     check_int(level, "level", 1, MAX_HARMONIC_LEVEL)
     if (value << level).bit_length() > 62:
         raise DepthError(f"scaled block value 2^{level} * {value} exceeds the numeric range")
+    total, shift = _scaled_block_total(value, level)
+    return math.ldexp(float(total), -shift)
+
+
+def _scaled_block_total(value: int, level: int) -> tuple[int, int]:
+    """The exact sum of :func:`harmonic_block_sum`'s terms as an integer
+    ``total`` and a ``shift`` with sum = total * 2^-shift, unrounded.
+
+    Ranges in one binade share the shift, so the totals of two adjacent
+    ranges add up exactly to the total of their union.
+    """
     start = value << level
     stop = start + (1 << level)
     shift = start.bit_length() + 52  # j + 53
@@ -212,4 +223,4 @@ def harmonic_block_sum(block: int, level: int) -> float:
         lo = m - hi * 2.0**26
         hi_sum += int(hi.sum())
         lo_sum += int(lo.sum())
-    return math.ldexp(float((hi_sum << 26) + lo_sum), -shift)
+    return (hi_sum << 26) + lo_sum, shift

@@ -9,8 +9,12 @@ column-stochastic, so the fixed point is its unique stationary vector and
 plain power iteration from the uniform start converges to it.
 
 Marginalizing the solution onto the first bit gives the two-digit-block
-probabilities, which approach log2(3/2) and log2(4/3) as the depth grows;
-:func:`convergence_table` tabulates that approach depth by depth.
+probabilities, which approach log2(3/2) and log2(4/3) as the depth grows.
+The fixed point also has a closed form, pi_V proportional to 1/(V+1), so
+p10 is a ratio of harmonic sums (:func:`_closed_form`).
+:func:`convergence_table` tabulates p10 depth by depth from that closed
+form by default; power iteration on either backend of :func:`solve` is the
+oracle that checks it.
 """
 
 from __future__ import annotations
@@ -25,14 +29,16 @@ from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_HARMONIC_LEVEL,
     MAX_VECTOR_DEPTH,
+    _scaled_block_total,
     check_int,
-    harmonic_block_sum,
 )
 from benford2.transition import apply_dense, apply_fast, build_dense
 
 np = lazy_import("numpy")
 
 BACKENDS = ("dense", "fast")
+# convergence_table's backends: the closed form, then solve's oracles
+_TABLE_BACKENDS = ("closed", *BACKENDS)
 
 
 class ConvergenceError(RuntimeError):
@@ -71,12 +77,13 @@ class ConvergenceRow:
     rel_err: float
 
 
-def _depth_budget(backend: str, tolerance: float) -> int:
-    """The backend's depth budget.  An unknown backend, or a tolerance that
-    is not positive and finite, raises :class:`ValueError`; a tolerance that
-    is a ``bool`` or not a real number raises :class:`TypeError`."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+def _depth_budget(backend: str, tolerance: float, backends: tuple[str, ...] = BACKENDS) -> int:
+    """The backend's depth budget.  A backend not in ``backends``, or a
+    tolerance that is not positive and finite, raises :class:`ValueError`; a
+    tolerance that is a ``bool`` or not a real number raises
+    :class:`TypeError`."""
+    if backend not in backends:
+        raise ValueError(f"backend must be one of {backends}, got {backend!r}")
     if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
         raise TypeError(f"tolerance {tolerance!r} is not a real number")
     if not 0 < tolerance < math.inf:
@@ -135,12 +142,16 @@ def _closed_form(depth: int) -> tuple[float, float]:
     With n = 2^depth the fixed point is proportional to 1/(V+1) over the
     block values V in [n, 2n), so p10 = (H_{3n/2} - H_n) / (H_{2n} - H_n)
     and p11 = (H_{2n} - H_{3n/2}) / (H_{2n} - H_n).  Each difference is a
-    correctly rounded block sum S(V, l) of :func:`harmonic_block_sum` less
-    one term:
+    correctly rounded block sum S(V, l) of
+    :func:`~benford2.dyadic.harmonic_block_sum` less one term:
 
     - H_{3n/2} - H_n = S(2, depth - 1) - 1/(3n),
     - H_{2n} - H_{3n/2} = S(3, depth - 1) - 1/(6n),
     - H_{2n} - H_n = S(1, depth) - 1/(2n).
+
+    The range of S(1, depth) is the union of the other two, and all three
+    lie in the binade [n, 2n), so the exact total of S(1, depth) is the sum
+    of the other two totals and costs no third pass over the terms.
 
     Depth 1 would need a sum at level 0, so it returns 4/7 and 3/7 directly.
     """
@@ -148,9 +159,11 @@ def _closed_form(depth: int) -> tuple[float, float]:
     if depth == 1:
         return 4 / 7, 3 / 7
     n = 1 << depth
-    whole = harmonic_block_sum(0b1, depth) - 1 / (2 * n)
-    head = harmonic_block_sum(0b10, depth - 1) - 1 / (3 * n)
-    tail = harmonic_block_sum(0b11, depth - 1) - 1 / (6 * n)
+    head_total, shift = _scaled_block_total(0b10, depth - 1)
+    tail_total, _ = _scaled_block_total(0b11, depth - 1)
+    whole = math.ldexp(float(head_total + tail_total), -shift) - 1 / (2 * n)
+    head = math.ldexp(float(head_total), -shift) - 1 / (3 * n)
+    tail = math.ldexp(float(tail_total), -shift) - 1 / (6 * n)
     return head / whole, tail / whole
 
 
@@ -186,27 +199,35 @@ def benford_reference(block: int, base: int = 2) -> float:
 def convergence_table(
     max_depth: int,
     tolerance: float = 1e-14,
-    backend: str = "fast",
+    backend: str = "closed",
 ) -> list[ConvergenceRow]:
     """Leading-pair probability and its relative error, one row per depth.
 
-    The depths are independent solves, spread over the CPUs this process
-    may use by :func:`benford2._fanout.fan_out`, each weighted by its 2^depth
-    entries; a child is forked only for a share above one 2^16-entry chunk,
-    so no table up to depth 16 forks.  A child sends back only ``p10``, a
-    float that marshals exactly, so the rows are those of solving every
-    depth here.  Only ``p10`` is kept from each solve, so each depth's
-    vector is freed before the next solve starts.
+    The default ``"closed"`` backend reads each depth's p10 from the closed
+    form (:func:`_closed_form`): two exact harmonic sums, built here a
+    chunk of terms at a time, with no solve, no fork and no 2^depth vector.
+    ``tolerance`` is validated on every backend but used only by the
+    oracles ``"fast"`` and ``"dense"``, which power-iterate each depth with
+    :func:`solve`.  Their depths are independent solves, spread over the
+    CPUs this process may use by :func:`benford2._fanout.fan_out`, each
+    weighted by its 2^depth entries; a child is forked only for a share
+    above one 2^16-entry chunk, so no table up to depth 16 forks.  A child
+    sends back only ``p10``, a float that marshals exactly, so the rows are
+    those of solving every depth here.  Only ``p10`` is kept from each
+    solve, so each depth's vector is freed before the next solve starts.
     """
-    check_int(max_depth, "max_depth", 1, _depth_budget(backend, tolerance))
+    check_int(max_depth, "max_depth", 1, _depth_budget(backend, tolerance, _TABLE_BACKENDS))
     reference = math.log2(1.5)
     depths = range(1, max_depth + 1)
-    load_deferred()  # numpy: once here before any fork, not once in each child
-    p10s = _fanout.fan_out(
-        lambda i: solve(depths[i], tolerance=tolerance, backend=backend).p10,
-        [1 << depth for depth in depths],
-        floor=1 << _fanout.CHUNK_BITS,
-    )
+    if backend == "closed":
+        p10s = [_closed_form(depth)[0] for depth in depths]
+    else:
+        load_deferred()  # numpy: once here before any fork, not once in each child
+        p10s = _fanout.fan_out(
+            lambda i: solve(depths[i], tolerance=tolerance, backend=backend).p10,
+            [1 << depth for depth in depths],
+            floor=1 << _fanout.CHUNK_BITS,
+        )
     return [
         ConvergenceRow(depth=depth, p10=p10, reference=reference, rel_err=abs(p10 - reference) / reference)
         for depth, p10 in zip(depths, p10s)

@@ -52,9 +52,15 @@ PINNED_STDOUT = {
     # 2^17 rows: 32 pieces of cli.PIECE_BITS = 12, past the 2^16 rows that fork nothing
     "solve --k 17": "a1ae2e03cbef7cf73cbdac100b39637e46b3ecab0a51fe53d74884733f6ddbcb",
     "solve --k 17 --format json": "4a479d2a29c033d32e1111f1b66810d302d84e3f0bcc04d60922cd818cb7fe4b",
-    "table1 --kmax 6": "63758c189fa989c5a43d6c2b25e95f26b8852925c9c398f4b9e6ae374dab2d10",
-    "table1 --kmax 6 --format json": "ce676c16edee5b3a656ca81e69dc8d028ac8332858bf55cf4e27e2127498be6c",
-    "table1 --kmax 18": "62ee5fb5800c1877f612fa706ac1e371301b6790aa64f484837df7770551132e",
+    # table1's default backend reads p10 from the closed form; fast and dense are its oracles
+    "table1 --kmax 6": "c3676223d5c759c61110b52b143edcc61ff13d7dbdfdbafaba42427903f6a4eb",
+    "table1 --kmax 6 --format json": "8e2135909f47c0f2cf992050e3ef63865895814f6a39b45dfdbac9d6e8e8de6a",
+    "table1 --kmax 18": "1fc95f70db57abe95120030870d88fe3974cf79d1d39d8bad0112fe086891da0",
+    # the benchmark's command
+    "table1 --kmax 22": "4362831568c594f842fffd6edd1c5bf8eed0edac7ebe10a3d3ca2171b0057db8",
+    "table1 --kmax 6 --backend fast": "63758c189fa989c5a43d6c2b25e95f26b8852925c9c398f4b9e6ae374dab2d10",
+    "table1 --kmax 6 --format json --backend fast": "ce676c16edee5b3a656ca81e69dc8d028ac8332858bf55cf4e27e2127498be6c",
+    "table1 --kmax 18 --backend fast": "62ee5fb5800c1877f612fa706ac1e371301b6790aa64f484837df7770551132e",
     "table1 --kmax 11 --backend dense": "4710d4e81dfb7dc14d78a918859e4f09b7cf928536b7a2bcea5da3dc380dfc77",
     "matrix --k 2": "8086c1c9d64b06af899eeefd0bb5f651823f5a91ac62f15157bbc4757e878a90",
     "matrix --k 2 --format json": "ecc33d40a0f2d7e4624b604dbb80d1cbc7e4c1917116adaf4d6ec39622066e6d",
@@ -252,8 +258,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(%r)
 print(code)
 """
-    # table1 --kmax 17: the child solves depth 17; verify: it runs series and harmonic
-    for argv, reports in [(["table1", "--kmax", "17"], 1), (VERIFY_QUICK, 2)]:
+    # table1 --kmax 17 --backend fast: the child solves depth 17; verify: it runs series and harmonic
+    for argv, reports in [(["table1", "--kmax", "17", "--backend", "fast"], 1), (VERIFY_QUICK, 2)]:
         result = run_fresh(script % argv)
         assert (result.stdout, result.stderr) == ("0\n", "module " * reports)
 
@@ -490,7 +496,7 @@ class TestSolveCommand:
 class TestTable1Command:
     def test_peak_rss_of_deep_table(self):
         # two 2^22 vectors live at once in the fast solve: about 93 MB
-        code, peak_kib = spawn_peak_rss("table1", "--kmax", "22")
+        code, peak_kib = spawn_peak_rss("table1", "--kmax", "22", "--backend", "fast")
         assert code == 0
         assert peak_kib < 112 * 1024
 
@@ -525,10 +531,33 @@ class TestTable1Command:
             cli.main(["table1", "--kmax", "0"])
         assert excinfo.value.code == 2
 
+    def test_closed_table_solves_and_forks_nothing(self, capsys, monkeypatch, forks):
+        def refused(*args, **kwargs):
+            raise AssertionError("the closed table solved or fanned out")
+
+        monkeypatch.setattr(solver, "solve", refused)
+        monkeypatch.setattr(_fanout, "fan_out", refused)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code, out, _ = run_cli(capsys, "table1", "--kmax", "22")
+        assert code == 0 and len(out.splitlines()) == 23
+        assert forks == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--k", "3", "--backend", "closed"], ["table1", "--kmax", "25"]],
+        ids=" ".join,
+    )
+    def test_closed_refusals_are_usage_errors(self, capsys, argv):
+        # solve has no closed backend; table1 keeps the depth budget of 24 on every backend
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_tolerance_checked_before_any_fork(self, capsys, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["table1", "--kmax", "20", "--tolerance", "0"])
+            cli.main(["table1", "--kmax", "20", "--tolerance", "0", "--backend", "fast"])
         assert excinfo.value.code == 2
         assert forks == []
 
@@ -540,7 +569,7 @@ class TestTable1Command:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("kmax", [17, 18])
     def test_fan_out_keeps_bytes(self, capsys, monkeypatch, forks, kmax, fmt, cpus):
-        argv = ["table1", "--kmax", str(kmax), "--format", fmt]
+        argv = ["table1", "--kmax", str(kmax), "--format", fmt, "--backend", "fast"]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         single = run_cli(capsys, *argv)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -550,7 +579,11 @@ class TestTable1Command:
         assert len(rows) == kmax
         assert_no_children()
 
-    @pytest.mark.parametrize("argv", [["--kmax", "16"], ["--kmax", "11", "--backend", "dense"]], ids=" ".join)
+    @pytest.mark.parametrize(
+        "argv",
+        [["--kmax", "16", "--backend", "fast"], ["--kmax", "11", "--backend", "dense"]],
+        ids=["--kmax 16", "--kmax 11 --backend dense"],
+    )
     def test_small_tables_fork_nothing(self, capsys, monkeypatch, forks, argv):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         code, out, _ = run_cli(capsys, "table1", *argv)
@@ -572,9 +605,10 @@ class TestTable1Command:
 
         monkeypatch.setattr(solver, "solve", flaky)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        single = run_cli(capsys, "table1", "--kmax", "17")
+        argv = ["table1", "--kmax", "17", "--backend", "fast"]
+        single = run_cli(capsys, *argv)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert run_cli(capsys, "table1", "--kmax", "17") == single
+        assert run_cli(capsys, *argv) == single
         assert single[0] == (0 if failure == "raises" else 1)
         assert len(forks) == 1
         assert_no_children()
@@ -590,7 +624,7 @@ class TestTable1Command:
         monkeypatch.setattr(solver, "solve", interrupted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(KeyboardInterrupt):
-            cli.main(["table1", "--kmax", "17"])
+            cli.main(["table1", "--kmax", "17", "--backend", "fast"])
         assert len(forks) == 1
         assert_no_children()
 

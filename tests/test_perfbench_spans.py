@@ -49,7 +49,7 @@ def test_traced_table_forks_and_keeps_bytes(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     spans = importlib.import_module("spans")
-    argv = ["table1", "--kmax", "17"]
+    argv = ["table1", "--kmax", "17", "--backend", "fast"]
     assert cli.main(argv) == 0
     untraced = capsys.readouterr().out
     tracer = spans.Tracer()

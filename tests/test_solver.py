@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import re
 from decimal import Decimal, localcontext
@@ -7,7 +10,8 @@ import numpy as np
 import pytest
 from conftest import DEPTH2_EXACT, DEPTH2_MARGINAL_PRINTED, DEPTH2_PRINTED
 
-from benford2.dyadic import DepthError
+from benford2 import cli
+from benford2.dyadic import DepthError, harmonic_block_sum
 from benford2.solver import (
     ConvergenceError,
     _closed_form,
@@ -144,6 +148,8 @@ class TestSolve:
             solve(3, tolerance=0.0)
         with pytest.raises(ValueError):
             solve(3, backend="magic")
+        with pytest.raises(ValueError, match="backend must be one of"):  # closed is convergence_table's alone
+            solve(3, backend="closed")
         with pytest.raises(TypeError, match="depth True is not an int"):
             solve(True)
         with pytest.raises(TypeError, match="depth 3.0 is not an int"):
@@ -302,11 +308,17 @@ class TestConvergenceTable:
 
     @pytest.mark.parametrize("tolerance", [0.0, math.nan])
     def test_tolerance_checked_before_any_solve(self, monkeypatch, tolerance):
+        # the closed backend uses no tolerance, but checks it as the oracles do
         calls = []
         monkeypatch.setattr("benford2.solver.solve", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match="tolerance"):
-            convergence_table(20, tolerance=tolerance)
+        for backend in ("closed", "fast"):
+            with pytest.raises(ValueError, match="tolerance"):
+                convergence_table(20, tolerance=tolerance, backend=backend)
         assert calls == []
+
+    def test_unknown_backend(self):
+        with pytest.raises(ValueError, match=re.escape("backend must be one of ('closed', 'dense', 'fast')")):
+            convergence_table(3, backend="magic")
 
 
 class TestErrorDecayRatios:
@@ -412,3 +424,66 @@ class TestClosedForm:
     def test_depth_outside_the_harmonic_budget(self, depth):
         with pytest.raises(DepthError):
             _closed_form(depth)
+
+    @pytest.mark.parametrize("depth", range(2, 25))
+    def test_is_the_three_block_sum_formula(self, depth):
+        # the whole range's exact total is the sum of its halves', so the
+        # sum over it is never taken, yet every bit is as if it were
+        n = 1 << depth
+        whole = harmonic_block_sum(0b1, depth) - 1 / (2 * n)
+        head = harmonic_block_sum(0b10, depth - 1) - 1 / (3 * n)
+        tail = harmonic_block_sum(0b11, depth - 1) - 1 / (6 * n)
+        assert _closed_form(depth) == (head / whole, tail / whole)
+
+
+def exact_p10(depth):
+    """p10 at ``depth`` as a ``Fraction``: exact up to depth 12, a 40-digit Euler-Maclaurin value beyond."""
+    n = 1 << depth
+    if depth <= 12:
+        (p, q), (r, s) = harmonic_gap(n, 3 * n // 2), harmonic_gap(3 * n // 2, 2 * n)
+        return Fraction(p * s, p * s + r * q)
+    with localcontext() as context:
+        context.prec = 40
+        return Fraction(euler_maclaurin_gap(n, 3 * n // 2) / euler_maclaurin_gap(n, 2 * n))
+
+
+class TestClosedTable:
+    """The default table: each row's p10 is the closed form's, and every cell is right to its print."""
+
+    @pytest.fixture(scope="class")
+    def printed(self):
+        """The CSV rows and the JSON rows of ``table1 --kmax 24``, the depth budget."""
+        out = {}
+        for fmt in ("csv", "json"):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert cli.main(["table1", "--kmax", "24", "--format", fmt]) == 0
+            out[fmt] = buffer.getvalue()
+        return out["csv"].splitlines()[1:], json.loads(out["json"])
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_p10_within_two_ulp_of_the_exact_fraction(self, depth):
+        row = convergence_table(depth)[-1]
+        exact = float(exact_p10(depth))
+        assert row.p10 == _closed_form(depth)[0]
+        assert abs(row.p10 - exact) <= 2 * math.ulp(exact)
+
+    def test_cell_is_the_exact_value_rounded(self, printed):
+        csv_rows, _ = printed
+        assert len(csv_rows) == 24
+        for depth, line in enumerate(csv_rows, start=1):
+            exact = exact_p10(depth)
+            millionths = exact * 10**6
+            # the exact value is not within reach of a rounding boundary, so rounding it decides the cell
+            assert abs(millionths - math.floor(millionths) - Fraction(1, 2)) > Fraction(1, 10**20)
+            assert line.split(",")[1] == f"0.{round(millionths):06d}", depth
+
+    def test_rel_err_is_that_of_the_rows_p10(self, printed, table10):
+        _, json_rows = printed
+        reference = math.log2(1.5)
+        assert len(json_rows) == 24
+        for row in json_rows:
+            assert row["benford_p10"] == reference
+            assert row["rel_err"] == abs(row["p10"] - reference) / reference
+        for row in table10:
+            assert row.rel_err == abs(row.p10 - row.reference) / row.reference

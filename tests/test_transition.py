@@ -211,7 +211,12 @@ class TestPeakMemory:
         assert traced_peak(lambda: solve(20)) <= 2 * self.VECTOR + self.SLACK
 
     def test_convergence_table_holds_two_vectors(self):
-        assert traced_peak(lambda: convergence_table(20)) <= 2 * self.VECTOR + self.SLACK
+        assert traced_peak(lambda: convergence_table(20, backend="fast")) <= 2 * self.VECTOR + self.SLACK
+
+    def test_closed_table_holds_no_vector(self):
+        # the closed form builds its harmonic terms dyadic.HARMONIC_CHUNK = 2^12 at a
+        # time, a few arrays of 32 KiB; one 2^22-entry vector would be 32 MiB
+        assert traced_peak(lambda: convergence_table(22)) < self.SLACK
 
 
 class TestBruteForceElement:
