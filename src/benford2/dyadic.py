@@ -12,9 +12,10 @@ comparisons and suffix scans.  Bits, most-significant-first as a tuple of
 0/1 ints, remain where an identity is stated bit by bit: the excess sum and
 truncations here, and the series terms of ``analytic``.
 The excess sum also takes 0/1 arrays with the bits on the last axis, so
-one call covers every (scale, target) pair of a depth.  The exact harmonic
-sum over a block's scaled range lives here too, below both the solver and
-the checks.  numpy is loaded on the first call that needs it, not at import.
+one call covers every (scale, target) pair of a depth.  The correctly
+rounded harmonic sum over a block's scaled range lives here too, for the
+checks of ``analytic``.  numpy is loaded on the first call that needs it,
+not at import.
 
 All values derived from bits are exact: integers for block values,
 ``fractions.Fraction`` for dyadic fractions and truncations.  Floating
@@ -201,17 +202,6 @@ def harmonic_block_sum(block: int, level: int) -> float:
     check_int(level, "level", 1, MAX_HARMONIC_LEVEL)
     if (value << level).bit_length() > 62:
         raise DepthError(f"scaled block value 2^{level} * {value} exceeds the numeric range")
-    total, shift = _scaled_block_total(value, level)
-    return math.ldexp(float(total), -shift)
-
-
-def _scaled_block_total(value: int, level: int) -> tuple[int, int]:
-    """The exact sum of :func:`harmonic_block_sum`'s terms as an integer
-    ``total`` and a ``shift`` with sum = total * 2^-shift, unrounded.
-
-    Ranges in one binade share the shift, so the totals of two adjacent
-    ranges add up exactly to the total of their union.
-    """
     start = value << level
     stop = start + (1 << level)
     shift = start.bit_length() + 52  # j + 53
@@ -223,4 +213,4 @@ def _scaled_block_total(value: int, level: int) -> tuple[int, int]:
         lo = m - hi * 2.0**26
         hi_sum += int(hi.sum())
         lo_sum += int(lo.sum())
-    return (hi_sum << 26) + lo_sum, shift
+    return math.ldexp(float((hi_sum << 26) + lo_sum), -shift)

@@ -11,10 +11,12 @@ plain power iteration from the uniform start converges to it.
 Marginalizing the solution onto the first bit gives the two-digit-block
 probabilities, which approach log2(3/2) and log2(4/3) as the depth grows.
 The fixed point also has a closed form, pi_V proportional to 1/(V+1), so
-p10 is a ratio of harmonic sums (:func:`_closed_form`).
+p10 is a ratio of harmonic gaps, which :func:`_closed_form` rounds
+correctly in pure Python: from Euler-Maclaurin values, or from exact
+integers at small depths and near a rounding midpoint.
 :func:`convergence_table` tabulates p10 depth by depth from that closed
-form by default; power iteration on either backend of :func:`solve` is the
-oracle that checks it.
+form by default, without numpy; power iteration on either backend of
+:func:`solve` is the oracle that checks it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 from benford2 import _fanout
 from benford2._lazy import lazy_import, load_deferred
@@ -29,7 +32,6 @@ from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_HARMONIC_LEVEL,
     MAX_VECTOR_DEPTH,
-    _scaled_block_total,
     check_int,
 )
 from benford2.transition import apply_dense, apply_fast, build_dense
@@ -136,35 +138,81 @@ def solve(
     )
 
 
+# A&S 6.3.18: H_m = ln m + gamma + 1/(2m) - 1/(12m^2) + 1/(120m^4) - 1/(252m^6)
+# + 1/(240m^8) - R(m), as (numerator, denominator, power of 1/m), with
+# 0 < R(m) < |B_10|/(10m^10) = 1/(132m^10): the series envelops H_m
+_EULER_MACLAURIN_TERMS = ((1, 2, 1), (-1, 12, 2), (1, 120, 4), (-1, 252, 6), (1, 240, 8))
+# the least depth whose bound on p10, 1/(44n^10) (see _euler_maclaurin_form),
+# is below half an ulp of p11 in [1/4, 1/2), 2^-55: below it the bound
+# always spans a rounding midpoint
+_EULER_MACLAURIN_DEPTH = 5
+
+
+def _harmonic_gap(a: int, b: int) -> tuple[int, int]:
+    """H_b - H_a, the sum of 1/m over a < m <= b, as (numerator, denominator), by binary splitting."""
+    if b - a == 1:
+        return 1, b
+    mid = (a + b) // 2
+    (p, q), (r, s) = _harmonic_gap(a, mid), _harmonic_gap(mid, b)
+    return p * s + r * q, q * s
+
+
+def _euler_maclaurin_gap(a: Decimal, b: Decimal) -> Decimal:
+    """H_b - H_a from the terms of ``_EULER_MACLAURIN_TERMS``, in the current decimal context."""
+    total = (b / a).ln()
+    for numerator, denominator, power in _EULER_MACLAURIN_TERMS:
+        total += Decimal(numerator) / denominator * (1 / b**power - 1 / a**power)
+    return total
+
+
+def _euler_maclaurin_form(n: int) -> tuple[float, float] | None:
+    """The correctly rounded p10 and p11 at n = 2^depth from 50-digit
+    Euler-Maclaurin values, or ``None`` where they cannot decide the rounding.
+
+    R(b) - R(a) in (-1/(132a^10), 1/(132a^10)) for a < b, so each gap over
+    a range starting at n is off by less than E = 1/(132n^10), and the
+    quotient p10 = A/W by less than (|e_A| + p10|e_W|)/W < 2E/W < 3E = 1/(44n^10),
+    since W = H_2n - H_n > 2/3 for n >= 32.  The 50-digit arithmetic adds
+    well under 10^-45.  When the interval of that half-width around p10,
+    or around p11 = 1 - p10, holds a rounding midpoint, its ends round to
+    different floats; otherwise both ends, and so the exact value, round
+    to the same one.
+    """
+    with localcontext(Context(prec=50)):  # not the caller's context, whose traps or rounding may differ
+        a = Decimal(n)
+        p10 = _euler_maclaurin_gap(a, a * 3 / 2) / _euler_maclaurin_gap(a, 2 * a)
+        bound = 1 / (44 * a**10) + Decimal("1e-45")
+        rounded = []
+        for value in (p10, 1 - p10):
+            low, high = float(value - bound), float(value + bound)
+            if low != high:
+                return None
+            rounded.append(low)
+    return rounded[0], rounded[1]
+
+
 def _closed_form(depth: int) -> tuple[float, float]:
-    """p10 and p11 at ``depth`` from exact harmonic sums instead of iteration.
+    """p10 and p11 at ``depth``, correctly rounded, with no iteration and no
+    loop over the 2^depth terms.
 
     With n = 2^depth the fixed point is proportional to 1/(V+1) over the
     block values V in [n, 2n), so p10 = (H_{3n/2} - H_n) / (H_{2n} - H_n)
-    and p11 = (H_{2n} - H_{3n/2}) / (H_{2n} - H_n).  Each difference is a
-    correctly rounded block sum S(V, l) of
-    :func:`~benford2.dyadic.harmonic_block_sum` less one term:
-
-    - H_{3n/2} - H_n = S(2, depth - 1) - 1/(3n),
-    - H_{2n} - H_{3n/2} = S(3, depth - 1) - 1/(6n),
-    - H_{2n} - H_n = S(1, depth) - 1/(2n).
-
-    The range of S(1, depth) is the union of the other two, and all three
-    lie in the binade [n, 2n), so the exact total of S(1, depth) is the sum
-    of the other two totals and costs no third pass over the terms.
-
-    Depth 1 would need a sum at level 0, so it returns 4/7 and 3/7 directly.
+    and p11 = (H_{2n} - H_{3n/2}) / (H_{2n} - H_n).  From
+    ``_EULER_MACLAURIN_DEPTH`` on, both come from 50-digit Euler-Maclaurin
+    values (:func:`_euler_maclaurin_form`).  Below it, or where those
+    cannot decide the rounding, they come from the exact integer gaps
+    (:func:`_harmonic_gap`), each rounded once by int true division, as
+    ``float(Fraction)`` rounds.
     """
     check_int(depth, "depth", 1, MAX_HARMONIC_LEVEL)
-    if depth == 1:
-        return 4 / 7, 3 / 7
     n = 1 << depth
-    head_total, shift = _scaled_block_total(0b10, depth - 1)
-    tail_total, _ = _scaled_block_total(0b11, depth - 1)
-    whole = math.ldexp(float(head_total + tail_total), -shift) - 1 / (2 * n)
-    head = math.ldexp(float(head_total), -shift) - 1 / (3 * n)
-    tail = math.ldexp(float(tail_total), -shift) - 1 / (6 * n)
-    return head / whole, tail / whole
+    if depth >= _EULER_MACLAURIN_DEPTH:
+        rounded = _euler_maclaurin_form(n)
+        if rounded is not None:
+            return rounded
+    (p, q), (r, s) = _harmonic_gap(n, 3 * n // 2), _harmonic_gap(3 * n // 2, 2 * n)
+    head, tail = p * s, r * q
+    return head / (head + tail), tail / (head + tail)
 
 
 def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:
@@ -204,8 +252,8 @@ def convergence_table(
     """Leading-pair probability and its relative error, one row per depth.
 
     The default ``"closed"`` backend reads each depth's p10 from the closed
-    form (:func:`_closed_form`): two exact harmonic sums, built here a
-    chunk of terms at a time, with no solve, no fork and no 2^depth vector.
+    form (:func:`_closed_form`), correctly rounded, at a cost that does not
+    grow with the depth: no solve, no fork, no numpy and no 2^depth vector.
     ``tolerance`` is validated on every backend but used only by the
     oracles ``"fast"`` and ``"dense"``, which power-iterate each depth with
     :func:`solve`.  Their depths are independent solves, spread over the

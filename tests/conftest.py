@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,58 @@ DEPTH2_EXACT = tuple(weight / sum(_DEPTH2_WEIGHTS) for weight in _DEPTH2_WEIGHTS
 DEPTH2_PRINTED = (0.3152, 0.2627, 0.2251, 0.1970)
 # the marginals of blocks 10 and 11, 308/533 and 225/533
 DEPTH2_MARGINAL_PRINTED = (0.5779, 0.4221)
+
+
+def harmonic_gap(a, b):
+    """H_b - H_a = sum of 1/m over a < m <= b, as (numerator, denominator), by binary splitting."""
+    if b - a == 1:
+        return 1, b
+    mid = (a + b) // 2
+    (p, q), (r, s) = harmonic_gap(a, mid), harmonic_gap(mid, b)
+    return p * s + r * q, q * s
+
+
+# H_m = ln m + gamma + 1/(2m) - sum of B_2j/(2j m^2j) (A&S 6.3.18), through m^-12 here, as
+# (coefficient, power); the series envelops H_m, so the remainder is below |B_14|/14 m^-14 = m^-14/12
+EULER_MACLAURIN_TERMS = (
+    (Fraction(1, 2), 1), (Fraction(-1, 12), 2), (Fraction(1, 120), 4),
+    (Fraction(-1, 252), 6), (Fraction(1, 240), 8), (Fraction(-1, 132), 10), (Fraction(691, 32760), 12),
+)
+EULER_MACLAURIN_DIGITS = 80
+# the error of exact_p10 past depth 12: each gap is off by less than 10^-55, and the whole one exceeds 2/3
+EXACT_P10_SLACK = Fraction(3, 10**55)
+
+
+def euler_maclaurin_gap(a, b):
+    """H_b - H_a for 2^13 <= a < b, off by less than 1/(12 a^14) + 10^-75 < 10^-55."""
+    with localcontext() as context:
+        context.prec = EULER_MACLAURIN_DIGITS
+        a, b = Decimal(a), Decimal(b)
+        total = (b / a).ln()
+        for coefficient, power in EULER_MACLAURIN_TERMS:
+            total += Decimal(coefficient.numerator) / coefficient.denominator * (1 / b**power - 1 / a**power)
+        return total
+
+
+def exact_p10(depth):
+    """p10 at ``depth`` as a ``Fraction``: exact up to depth 12, the Euler-Maclaurin quotient beyond,
+    which is off by less than ``EXACT_P10_SLACK``."""
+    n = 1 << depth
+    if depth <= 12:
+        (p, q), (r, s) = harmonic_gap(n, 3 * n // 2), harmonic_gap(3 * n // 2, 2 * n)
+        return Fraction(p * s, p * s + r * q)
+    with localcontext() as context:
+        context.prec = EULER_MACLAURIN_DIGITS
+        return Fraction(euler_maclaurin_gap(n, 3 * n // 2) / euler_maclaurin_gap(n, 2 * n))
+
+
+def rounded_p10(depth):
+    """The float nearest the exact p10 at ``depth``; beyond depth 12, only where every value within
+    the error of :func:`exact_p10` rounds to that same float."""
+    exact = exact_p10(depth)
+    if depth > 12:
+        assert float(exact - EXACT_P10_SLACK) == float(exact + EXACT_P10_SLACK), depth
+    return float(exact)
 
 
 # A slightly wrong version of each product function that ``verify`` checks,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import DEPTH2_PRINTED, MUTATIONS, assert_no_children, run_fresh
+from conftest import DEPTH2_PRINTED, MUTATIONS, assert_no_children, rounded_p10, run_fresh
 
 import benford2
 from benford2 import _fanout, analytic, cli, solver, transition
@@ -52,12 +52,13 @@ PINNED_STDOUT = {
     # 2^17 rows: 32 pieces of cli.PIECE_BITS = 12, past the 2^16 rows that fork nothing
     "solve --k 17": "a1ae2e03cbef7cf73cbdac100b39637e46b3ecab0a51fe53d74884733f6ddbcb",
     "solve --k 17 --format json": "4a479d2a29c033d32e1111f1b66810d302d84e3f0bcc04d60922cd818cb7fe4b",
-    # table1's default backend reads p10 from the closed form; fast and dense are its oracles
-    "table1 --kmax 6": "c3676223d5c759c61110b52b143edcc61ff13d7dbdfdbafaba42427903f6a4eb",
-    "table1 --kmax 6 --format json": "8e2135909f47c0f2cf992050e3ef63865895814f6a39b45dfdbac9d6e8e8de6a",
-    "table1 --kmax 18": "1fc95f70db57abe95120030870d88fe3974cf79d1d39d8bad0112fe086891da0",
+    # table1's default backend reads p10 from the closed form, correctly rounded (see
+    # test_closed_table1_pins_print_the_exact_values); fast and dense are its oracles
+    "table1 --kmax 6": "75e44c696f7240d8d12ab9d17d1e9710c51fe078ecc4158e7b43793b6c576182",
+    "table1 --kmax 6 --format json": "96da20fed56f29126be682c15d84f1ed7038a53462220ba80184e5ffdcf3d54c",
+    "table1 --kmax 18": "fc524996b78e06e9415c95186890f5c169013e631da4d973afd10c72bd337a56",
     # the benchmark's command
-    "table1 --kmax 22": "4362831568c594f842fffd6edd1c5bf8eed0edac7ebe10a3d3ca2171b0057db8",
+    "table1 --kmax 22": "6b5e1b05e43f1904077e52f261d7a7bc83382b537355f1a0b8e81843de8dc8a4",
     "table1 --kmax 6 --backend fast": "63758c189fa989c5a43d6c2b25e95f26b8852925c9c398f4b9e6ae374dab2d10",
     "table1 --kmax 6 --format json --backend fast": "ce676c16edee5b3a656ca81e69dc8d028ac8332858bf55cf4e27e2127498be6c",
     "table1 --kmax 18 --backend fast": "62ee5fb5800c1877f612fa706ac1e371301b6790aa64f484837df7770551132e",
@@ -185,6 +186,21 @@ def test_pinned_stdout(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", [c for c in sorted(PINNED_STDOUT) if c.startswith("table1") and "--backend" not in c])
+def test_closed_table1_pins_print_the_exact_values(command):
+    # the bytes the pin hashes, built from the correctly rounded exact p10 of each depth
+    kmax, fmt = int(command.split()[2]), "json" if "--format json" in command else "csv"
+    reference = math.log2(1.5)
+    p10s = [rounded_p10(k) for k in range(1, kmax + 1)]
+    rows = [(k, p10, reference, abs(p10 - reference) / reference) for k, p10 in enumerate(p10s, start=1)]
+    if fmt == "json":
+        keys = ("k", "p10", "benford_p10", "rel_err")
+        text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+    else:
+        text = "k,p10,benford_p10,rel_err\n" + "".join(f"{k},{p:.6f},{r!r},{e!r}\n" for k, p, r, e in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 @pytest.mark.parametrize("command", sorted(VERIFY_KERNEL_LINES))
@@ -541,6 +557,29 @@ class TestTable1Command:
         code, out, _ = run_cli(capsys, "table1", "--kmax", "22")
         assert code == 0 and len(out.splitlines()) == 23
         assert forks == []
+
+    def test_closed_table_never_loads_numpy(self):
+        # in a fresh interpreter, whose os.fork refuses: the fast oracle still runs after it, on numpy
+        script = """
+import contextlib, io, os, sys
+from benford2 import cli
+
+def refused():
+    raise AssertionError("table1 forked")
+
+os.fork = refused
+for fmt in ("csv", "json"):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["table1", "--kmax", "24", "--format", fmt])
+    assert code == 0 and "numpy._core" not in sys.modules, f"table1 --format {fmt} loaded numpy"
+    print(fmt, len(out.getvalue().splitlines()))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["table1", "--kmax", "3", "--backend", "fast"])
+print(code, "numpy._core" in sys.modules, out.getvalue().splitlines()[-1].split(",")[1])
+"""
+        result = run_fresh(script)
+        assert result.stderr == ""
+        assert result.stdout == "csv 25\njson 146\n0 True 0.581339\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,14 +3,22 @@ import io
 import json
 import math
 import re
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import DEPTH2_EXACT, DEPTH2_MARGINAL_PRINTED, DEPTH2_PRINTED
+from conftest import (
+    DEPTH2_EXACT,
+    DEPTH2_MARGINAL_PRINTED,
+    DEPTH2_PRINTED,
+    EXACT_P10_SLACK,
+    exact_p10,
+    harmonic_gap,
+    rounded_p10,
+)
 
-from benford2 import cli
+from benford2 import cli, solver
 from benford2.dyadic import DepthError, harmonic_block_sum
 from benford2.solver import (
     ConvergenceError,
@@ -334,27 +342,6 @@ class TestErrorDecayRatios:
             assert 0.4 <= ratio <= 0.6
 
 
-def harmonic_gap(a, b):
-    """H_b - H_a = sum of 1/m over a < m <= b, as (numerator, denominator), by binary splitting."""
-    if b - a == 1:
-        return 1, b
-    mid = (a + b) // 2
-    (p, q), (r, s) = harmonic_gap(a, mid), harmonic_gap(mid, b)
-    return p * s + r * q, q * s
-
-
-def euler_maclaurin_gap(a, b):
-    """H_b - H_a to 40 digits: ln(b/a) and the Euler-Maclaurin terms through N^-8."""
-    with localcontext() as context:
-        context.prec = 40
-        a, b = Decimal(a), Decimal(b)
-        total = (b / a).ln()
-        for coefficient, power in ((Decimal(1) / 2, 1), (Decimal(-1) / 12, 2), (Decimal(1) / 120, 4),
-                                   (Decimal(-1) / 252, 6), (Decimal(1) / 240, 8)):
-            total += coefficient * (1 / b**power - 1 / a**power)
-        return total
-
-
 def rel_err_series(order):
     """r_1, ..., r_order with rel_err = sum of r_j 2^(-jk) + O(2^(-(order+1)k)) for the exact p10 at depth k.
 
@@ -391,34 +378,63 @@ class TestClosedFormDecay:
         rel_err = (reference - p10) / reference  # reference - p10 is exact (Sterbenz)
         residual = rel_err * 2.0**depth - (self.C - self.D * 2.0**-depth)
         # the next two series terms bound residual * 4^k; past them each term is
-        # smaller still by 2^-k.  p10 is within 4e-16 relative (TestClosedForm)
-        # and the reference within an ulp, and 2^k scales both.
+        # smaller still by 2^-k.  p10 is within half an ulp, correctly rounded
+        # (TestClosedForm), and the reference within an ulp, and 2^k scales both.
         *_, r3, r4 = rel_err_series(4)
         e = abs(r3) + abs(r4) * 2.0**-depth
-        eps = 4e-16 + math.ulp(reference) / reference
+        eps = (math.ulp(p10) / 2 + math.ulp(reference)) / reference
         assert abs(residual) <= e * 4.0**-depth + 2.0**depth * eps, (depth, residual)
 
 
 class TestClosedForm:
     @pytest.mark.parametrize("depth", range(1, 15))
     def test_within_two_ulp_of_the_exact_fraction(self, depth):
+        # within none: both are the exact value correctly rounded
         n = 1 << depth
         (p, q), (r, s) = harmonic_gap(n, 3 * n // 2), harmonic_gap(3 * n // 2, 2 * n)
         # p10 = (p/q) / (p/q + r/s); int / int is correctly rounded, as float(Fraction) is
         whole = p * s + r * q
-        for got, exact in zip(_closed_form(depth), (p * s / whole, r * q / whole)):
-            assert abs(got - exact) <= 2 * math.ulp(exact), (depth, got, exact)
+        assert _closed_form(depth) == (p * s / whole, r * q / whole)
 
     def test_depth_one_is_four_sevenths(self):
         assert _closed_form(1) == (float(Fraction(4, 7)), float(Fraction(3, 7)))
 
-    @pytest.mark.parametrize("depth", [16, 20, 24])
+    @pytest.mark.parametrize("depth", range(15, 27))
     def test_matches_euler_maclaurin(self, depth):
+        # 80 digits and two more terms than the closed form takes
+        p10, slack = exact_p10(depth), EXACT_P10_SLACK
+        for got, exact in zip(_closed_form(depth), (p10, 1 - p10)):
+            assert float(exact - slack) == float(exact + slack), depth  # the rounding is decided
+            assert got == float(exact), depth
+
+    @pytest.mark.parametrize("depth", range(5, 9))
+    def test_euler_maclaurin_gap_is_within_its_remainder_bound(self, depth):
+        # |B_10|/(10 n^10) = 1/(132 n^10), the bound the rounding check rests on
         n = 1 << depth
-        whole = euler_maclaurin_gap(n, 2 * n)
-        exact = (euler_maclaurin_gap(n, 3 * n // 2) / whole, euler_maclaurin_gap(3 * n // 2, 2 * n) / whole)
-        for got, value in zip(_closed_form(depth), exact):
-            assert abs(Decimal(got) - value) <= Decimal("4e-16") * value, (depth, got, value)
+        with localcontext(Context(prec=50)):
+            for b in (3 * n // 2, 2 * n):
+                error = Fraction(solver._euler_maclaurin_gap(Decimal(n), Decimal(b))) - Fraction(*harmonic_gap(n, b))
+                assert abs(error) < Fraction(1, 132 * n**10), (depth, b, error)
+
+    def test_euler_maclaurin_depth_is_the_least_its_bound_allows(self):
+        # p10's bound 1/(44 n^10) against half an ulp of p11 in [1/4, 1/2), 2^-55
+        def bound(depth):
+            return Fraction(1, 44 << 10 * depth)
+
+        depth = solver._EULER_MACLAURIN_DEPTH
+        assert bound(depth) < Fraction(1, 1 << 55) <= bound(depth - 1)
+
+    def test_exact_integers_decide_only_below_depth_six(self):
+        # at depth 5 the bound spans p10's rounding midpoint, so the exact gaps decide it;
+        # from depth 6 on the Euler-Maclaurin values decide every depth of the budget
+        assert solver._euler_maclaurin_form(1 << 5) is None
+        for depth in range(6, 27):
+            assert solver._euler_maclaurin_form(1 << depth) == _closed_form(depth), depth
+
+    def test_ignores_the_callers_decimal_context(self):
+        expected = _closed_form(22)
+        with localcontext(Context(prec=5, rounding=ROUND_FLOOR, traps=[Inexact])):
+            assert _closed_form(22) == expected
 
     @pytest.mark.parametrize("depth", [0, 27])
     def test_depth_outside_the_harmonic_budget(self, depth):
@@ -427,24 +443,14 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("depth", range(2, 25))
     def test_is_the_three_block_sum_formula(self, depth):
-        # the whole range's exact total is the sum of its halves', so the
-        # sum over it is never taken, yet every bit is as if it were
+        # the same ratio from three correctly rounded block sums of float terms, each less one
+        # term, which rounds more than once: within 2 ulp of the correctly rounded closed form
         n = 1 << depth
         whole = harmonic_block_sum(0b1, depth) - 1 / (2 * n)
         head = harmonic_block_sum(0b10, depth - 1) - 1 / (3 * n)
         tail = harmonic_block_sum(0b11, depth - 1) - 1 / (6 * n)
-        assert _closed_form(depth) == (head / whole, tail / whole)
-
-
-def exact_p10(depth):
-    """p10 at ``depth`` as a ``Fraction``: exact up to depth 12, a 40-digit Euler-Maclaurin value beyond."""
-    n = 1 << depth
-    if depth <= 12:
-        (p, q), (r, s) = harmonic_gap(n, 3 * n // 2), harmonic_gap(3 * n // 2, 2 * n)
-        return Fraction(p * s, p * s + r * q)
-    with localcontext() as context:
-        context.prec = 40
-        return Fraction(euler_maclaurin_gap(n, 3 * n // 2) / euler_maclaurin_gap(n, 2 * n))
+        for got, summed in zip(_closed_form(depth), (head / whole, tail / whole)):
+            assert abs(got - summed) <= 2 * math.ulp(got), (depth, got, summed)
 
 
 class TestClosedTable:
@@ -463,10 +469,13 @@ class TestClosedTable:
 
     @pytest.mark.parametrize("depth", range(1, 13))
     def test_p10_within_two_ulp_of_the_exact_fraction(self, depth):
+        # within none: the row's p10 is the exact value correctly rounded
         row = convergence_table(depth)[-1]
-        exact = float(exact_p10(depth))
-        assert row.p10 == _closed_form(depth)[0]
-        assert abs(row.p10 - exact) <= 2 * math.ulp(exact)
+        assert row.p10 == _closed_form(depth)[0] == float(exact_p10(depth))
+
+    def test_every_printed_p10_is_the_exact_value_rounded(self, printed):
+        _, json_rows = printed
+        assert [row["p10"] for row in json_rows] == [rounded_p10(depth) for depth in range(1, 25)]
 
     def test_cell_is_the_exact_value_rounded(self, printed):
         csv_rows, _ = printed
