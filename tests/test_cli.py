@@ -188,7 +188,10 @@ def test_pinned_stdout(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
-@pytest.mark.parametrize("command", [c for c in sorted(PINNED_STDOUT) if c.startswith("table1") and "--backend" not in c])
+CLOSED_TABLE1_PINS = [c for c in sorted(PINNED_STDOUT) if c.startswith("table1") and "--backend" not in c]
+
+
+@pytest.mark.parametrize("command", CLOSED_TABLE1_PINS)
 def test_closed_table1_pins_print_the_exact_values(command):
     # the bytes the pin hashes, built from the correctly rounded exact p10 of each depth
     kmax, fmt = int(command.split()[2]), "json" if "--format json" in command else "csv"
