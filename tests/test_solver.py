@@ -389,7 +389,8 @@ class TestClosedFormDecay:
 class TestClosedForm:
     @pytest.mark.parametrize("depth", range(1, 15))
     def test_within_two_ulp_of_the_exact_fraction(self, depth):
-        # within none: both are the exact value correctly rounded
+        # Asserts equality, not two ulp: p10 and p11 are each the exact value
+        # correctly rounded.  The name is older than that and the id is kept.
         n = 1 << depth
         (p, q), (r, s) = harmonic_gap(n, 3 * n // 2), harmonic_gap(3 * n // 2, 2 * n)
         # p10 = (p/q) / (p/q + r/s); int / int is correctly rounded, as float(Fraction) is
@@ -469,7 +470,8 @@ class TestClosedTable:
 
     @pytest.mark.parametrize("depth", range(1, 13))
     def test_p10_within_two_ulp_of_the_exact_fraction(self, depth):
-        # within none: the row's p10 is the exact value correctly rounded
+        # Asserts equality, not two ulp: the row's p10 is the exact value
+        # correctly rounded.  The name is older than that and the id is kept.
         row = convergence_table(depth)[-1]
         assert row.p10 == _closed_form(depth)[0] == float(exact_p10(depth))
 
