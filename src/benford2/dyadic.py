@@ -12,10 +12,10 @@ comparisons and suffix scans.  Bits, most-significant-first as a tuple of
 0/1 ints, remain where an identity is stated bit by bit: the excess sum and
 truncations here, and the series terms of ``analytic``.
 The excess sum also takes 0/1 arrays with the bits on the last axis, so
-one call covers every (scale, target) pair of a depth.  The correctly
-rounded harmonic sum over a block's scaled range lives here too, for the
-checks of ``analytic``.  numpy is loaded on the first call that needs it,
-not at import.
+one call covers every (scale, target) pair of a depth; numpy is loaded on
+the first call that needs it, not at import.  The harmonic core of
+``analytic`` and ``solver`` lives here too, in pure Python: exact and
+Euler-Maclaurin gaps H_b - H_a, and the sum over a block's range from them.
 
 All values derived from bits are exact: integers for block values,
 ``fractions.Fraction`` for dyadic fractions and truncations.  Floating
@@ -24,8 +24,8 @@ point enters only at module boundaries that need it.
 
 from __future__ import annotations
 
-import math
 import operator
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
@@ -48,11 +48,15 @@ MAX_DENSE_DEPTH = 12
 MAX_DUMP_DEPTH = 8
 MAX_REPORT_ROWS = 1 << 17
 MAX_COUNT_BITS = 40
-# Level cap keeps the harmonic loop budget near 2^26 terms.
+# Harmonic levels and closed-form depths: the range whose roundings the tests
+# check against 80-digit references; no cost sets it (see harmonic_block_sum)
 MAX_HARMONIC_LEVEL = 26
-# harmonic_block_sum builds its terms 2^12 at a time; a whole 2^26-term
-# array would take 512 MB
-HARMONIC_CHUNK = 1 << 12
+# A&S 6.3.18: H_m = ln m + gamma + 1/(2m) - 1/(12m^2) + 1/(120m^4) - 1/(252m^6)
+# + 1/(240m^8) - R(m), as (numerator, denominator, power of 1/m), with
+# 0 < R(m) < |B_10|/(10m^10) = 1/(132m^10): the series envelops H_m
+_EULER_MACLAURIN_TERMS = ((1, 2, 1), (-1, 12, 2), (1, 120, 4), (-1, 252, 6), (1, 240, 8))
+# the least start V*2^level from which 1/(132a^10) lies below half an ulp of every gap
+_EULER_MACLAURIN_START = 36
 
 
 class DepthError(ValueError):
@@ -176,41 +180,57 @@ def excess_population(alpha: ArrayLike, x: ArrayLike) -> int | NDArray:
     return int(total) if total.ndim == 0 else total
 
 
+def _harmonic_gap(a: int, b: int) -> tuple[int, int]:
+    """H_b - H_a, the sum of 1/m over a < m <= b, as (numerator, denominator), by binary splitting."""
+    if b - a == 1:
+        return 1, b
+    mid = (a + b) // 2
+    (p, q), (r, s) = _harmonic_gap(a, mid), _harmonic_gap(mid, b)
+    return p * s + r * q, q * s
+
+
+def _euler_maclaurin_gap(a: Decimal, b: Decimal) -> Decimal:
+    """H_b - H_a from the terms of ``_EULER_MACLAURIN_TERMS``, in the current decimal context."""
+    total = (b / a).ln()
+    for numerator, denominator, power in _EULER_MACLAURIN_TERMS:
+        total += Decimal(numerator) / denominator * (1 / b**power - 1 / a**power)
+    return total
+
+
+def _rounding(value: Decimal, bound: Decimal) -> float | None:
+    """The float every number within ``bound`` of ``value`` rounds to, or ``None`` if the ends differ."""
+    low = float(value - bound)
+    return low if low == float(value + bound) else None
+
+
 def harmonic_block_sum(block: int, level: int) -> float:
-    """Sum of 1/n over the block's scaled range [V*2^level, (V+1)*2^level).
+    """Sum of 1/m over the block's scaled range [V*2^level, (V+1)*2^level), correctly rounded.
 
     This is the left Riemann sum of 1/t over the range, so it brackets
-    ln((V+1)/V) from above with error below 1/(V*2^level).  The result is
-    the correctly rounded exact sum of the float terms ``1.0 / n``, the
-    value ``math.fsum`` returns, computed in integers:
-
-    - numpy builds the terms in chunks of ``HARMONIC_CHUNK``.  The int64 to
-      float64 cast rounds as ``float(n)`` does past 2^53, and the division
-      is correctly rounded, so each term t is ``1.0 / n`` bit for bit.
-    - The range lies in one binade, 2^j <= n < 2^(j+1) with
-      j = bit_length(start) - 1, so 2^-(j+1) <= t <= 2^-j and every t is
-      an integer m in [2^52, 2^53] times 2^-(j+53).  Scaling by a power of
-      two makes m exact in float64.
-    - m splits into hi = floor(m / 2^26) <= 2^27 and lo = m - hi*2^26 < 2^26.
-      A chunk's sums of hi and of lo are integers below 2^39, so float64
-      adds them exactly in any order.
-    - The Python ints (hi << 26) + lo over all chunks give the exact sum of
-      m; one rounding to float and an exact ldexp by -(j+53) give the
-      correctly rounded sum.
+    ln((V+1)/V) from above with error below 1/(V*2^level).  It is H_b - H_a
+    with a = V*2^level - 1 and b = a + 2^level, rounded once, as
+    ``float(Fraction)`` rounds: from ``_EULER_MACLAURIN_START`` on, where a
+    50-digit Euler-Maclaurin gap, in its own decimal context, rounds to one
+    float over the whole interval of half-width 1/(132a^10), for R(b) - R(a),
+    plus 10^-45, for the decimal arithmetic; otherwise from the exact integer
+    gap.  The exact sum is never a rounding midpoint: a prime above 2^level
+    divides exactly one term (Bertrand's postulate for V = 1, Sylvester's
+    theorem otherwise).  The gap exceeds 1/(V+1); from 2^13 terms on V is
+    below 2^49 and the half-width below 2^-136, so the interval holds a
+    midpoint with a chance below 2^-34 (2^-72 for V <= 2^10): past 2^12
+    terms the exact fallback is reached only with negligible probability.
+    A scaled value of 2^62 or more raises :class:`DepthError`: below it the
+    gap exceeds 2^-61 and half its ulp 2^-114, far above the 10^-45.
     """
-    value = check_int(block, "block", 1)
-    check_int(level, "level", 1, MAX_HARMONIC_LEVEL)
-    if (value << level).bit_length() > 62:
-        raise DepthError(f"scaled block value 2^{level} * {value} exceeds the numeric range")
-    start = value << level
-    stop = start + (1 << level)
-    shift = start.bit_length() + 52  # j + 53
-    hi_sum = lo_sum = 0
-    for first in range(start, stop, HARMONIC_CHUNK):
-        m = 1.0 / np.arange(first, min(first + HARMONIC_CHUNK, stop), dtype=np.int64).astype(np.float64)
-        m *= 2.0**shift  # the terms scaled to integers, exactly
-        hi = np.floor(m * 2.0**-26)
-        lo = m - hi * 2.0**26
-        hi_sum += int(hi.sum())
-        lo_sum += int(lo.sum())
-    return math.ldexp(float((hi_sum << 26) + lo_sum), -shift)
+    start = check_int(block, "block", 1) << check_int(level, "level", 1, MAX_HARMONIC_LEVEL)
+    if start.bit_length() > 62:
+        raise DepthError(f"scaled block value 2^{level} * {block} is 2^62 or more")
+    a, b = start - 1, start - 1 + (1 << level)
+    if start >= _EULER_MACLAURIN_START:
+        with localcontext(Context(prec=50)):  # not the caller's context, whose traps or rounding may differ
+            bound = 1 / (132 * Decimal(a) ** 10) + Decimal("1e-45")
+            rounded = _rounding(_euler_maclaurin_gap(Decimal(a), Decimal(b)), bound)
+        if rounded is not None:
+            return rounded
+    p, q = _harmonic_gap(a, b)
+    return p / q

@@ -12,8 +12,9 @@ Marginalizing the solution onto the first bit gives the two-digit-block
 probabilities, which approach log2(3/2) and log2(4/3) as the depth grows.
 The fixed point also has a closed form, pi_V proportional to 1/(V+1), so
 p10 is a ratio of harmonic gaps, which :func:`_closed_form` rounds
-correctly in pure Python: from Euler-Maclaurin values, or from exact
-integers at small depths and near a rounding midpoint.
+correctly in pure Python from the harmonic core of :mod:`benford2.dyadic`:
+Euler-Maclaurin values, or exact integers at small depths and near a
+rounding midpoint.
 :func:`convergence_table` tabulates p10 depth by depth from that closed
 form by default, without numpy; power iteration on either backend of
 :func:`solve` is the oracle that checks it.
@@ -32,6 +33,9 @@ from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_HARMONIC_LEVEL,
     MAX_VECTOR_DEPTH,
+    _euler_maclaurin_gap,
+    _harmonic_gap,
+    _rounding,
     check_int,
 )
 from benford2.transition import apply_dense, apply_fast, build_dense
@@ -138,31 +142,10 @@ def solve(
     )
 
 
-# A&S 6.3.18: H_m = ln m + gamma + 1/(2m) - 1/(12m^2) + 1/(120m^4) - 1/(252m^6)
-# + 1/(240m^8) - R(m), as (numerator, denominator, power of 1/m), with
-# 0 < R(m) < |B_10|/(10m^10) = 1/(132m^10): the series envelops H_m
-_EULER_MACLAURIN_TERMS = ((1, 2, 1), (-1, 12, 2), (1, 120, 4), (-1, 252, 6), (1, 240, 8))
 # the least depth whose bound on p10, 1/(44n^10) (see _euler_maclaurin_form),
 # is below half an ulp of p11 in [1/4, 1/2), 2^-55: below it the bound
 # always spans a rounding midpoint
 _EULER_MACLAURIN_DEPTH = 5
-
-
-def _harmonic_gap(a: int, b: int) -> tuple[int, int]:
-    """H_b - H_a, the sum of 1/m over a < m <= b, as (numerator, denominator), by binary splitting."""
-    if b - a == 1:
-        return 1, b
-    mid = (a + b) // 2
-    (p, q), (r, s) = _harmonic_gap(a, mid), _harmonic_gap(mid, b)
-    return p * s + r * q, q * s
-
-
-def _euler_maclaurin_gap(a: Decimal, b: Decimal) -> Decimal:
-    """H_b - H_a from the terms of ``_EULER_MACLAURIN_TERMS``, in the current decimal context."""
-    total = (b / a).ln()
-    for numerator, denominator, power in _EULER_MACLAURIN_TERMS:
-        total += Decimal(numerator) / denominator * (1 / b**power - 1 / a**power)
-    return total
 
 
 def _euler_maclaurin_form(n: int) -> tuple[float, float] | None:
@@ -182,13 +165,8 @@ def _euler_maclaurin_form(n: int) -> tuple[float, float] | None:
         a = Decimal(n)
         p10 = _euler_maclaurin_gap(a, a * 3 / 2) / _euler_maclaurin_gap(a, 2 * a)
         bound = 1 / (44 * a**10) + Decimal("1e-45")
-        rounded = []
-        for value in (p10, 1 - p10):
-            low, high = float(value - bound), float(value + bound)
-            if low != high:
-                return None
-            rounded.append(low)
-    return rounded[0], rounded[1]
+        rounded = _rounding(p10, bound), _rounding(1 - p10, bound)
+    return None if None in rounded else rounded
 
 
 def _closed_form(depth: int) -> tuple[float, float]:
@@ -200,9 +178,9 @@ def _closed_form(depth: int) -> tuple[float, float]:
     and p11 = (H_{2n} - H_{3n/2}) / (H_{2n} - H_n).  From
     ``_EULER_MACLAURIN_DEPTH`` on, both come from 50-digit Euler-Maclaurin
     values (:func:`_euler_maclaurin_form`).  Below it, or where those
-    cannot decide the rounding, they come from the exact integer gaps
-    (:func:`_harmonic_gap`), each rounded once by int true division, as
-    ``float(Fraction)`` rounds.
+    cannot decide the rounding, they come from the exact integer gaps of
+    ``dyadic``, each quotient rounded once by int true division, as
+    ``float(Fraction)`` rounds, not from rounded block sums.
     """
     check_int(depth, "depth", 1, MAX_HARMONIC_LEVEL)
     n = 1 << depth

@@ -44,8 +44,9 @@ EULER_MACLAURIN_TERMS = (
     (Fraction(-1, 252), 6), (Fraction(1, 240), 8), (Fraction(-1, 132), 10), (Fraction(691, 32760), 12),
 )
 EULER_MACLAURIN_DIGITS = 80
-# the error of exact_p10 past depth 12: each gap is off by less than 10^-55, and the whole one exceeds 2/3
-EXACT_P10_SLACK = Fraction(3, 10**55)
+# the error of euler_maclaurin_gap, and of exact_p10 past depth 12, where the whole gap exceeds 2/3
+EULER_MACLAURIN_SLACK = Fraction(1, 10**55)
+EXACT_P10_SLACK = 3 * EULER_MACLAURIN_SLACK
 
 
 def euler_maclaurin_gap(a, b):
@@ -69,6 +70,20 @@ def exact_p10(depth):
     with localcontext() as context:
         context.prec = EULER_MACLAURIN_DIGITS
         return Fraction(euler_maclaurin_gap(n, 3 * n // 2) / euler_maclaurin_gap(n, 2 * n))
+
+
+def rounded_block_sum(value, level):
+    """The float nearest the sum of 1/m over [V*2^level, (V+1)*2^level): from the exact gap up to 2^14
+    terms, and beyond from :func:`euler_maclaurin_gap`, only where every value within its error rounds
+    to that same float."""
+    a = (value << level) - 1
+    b = a + (1 << level)
+    if level <= 14:
+        p, q = harmonic_gap(a, b)
+        return p / q  # int true division is correctly rounded, as float(Fraction) is
+    exact = Fraction(euler_maclaurin_gap(a, b))
+    assert float(exact - EULER_MACLAURIN_SLACK) == float(exact + EULER_MACLAURIN_SLACK), (value, level)
+    return float(exact)
 
 
 def rounded_p10(depth):

@@ -1,14 +1,15 @@
 import math
 import random
+from decimal import ROUND_FLOOR, Context, Inexact, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import MUTATIONS
+from conftest import MUTATIONS, harmonic_gap, rounded_block_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benford2 import analytic
+from benford2 import analytic, dyadic
 from benford2.analytic import (
     MAX_SAMPLES,
     SUITES,
@@ -183,13 +184,13 @@ class TestHarmonicBlockSum:
 
     @pytest.mark.parametrize("value", [1, 2, 3, 1000, (1 << 45) + 7])
     def test_bits_equal_per_term_reference(self, value):
-        # levels below, at and many times HARMONIC_CHUNK; (1 << 45) + 7
-        # scales past 2^53, where a float arange would lose bits
+        # The reference is the exact sum of the terms 1/m, correctly rounded: exact integers up to
+        # 2^14 terms, a decided 80-digit Euler-Maclaurin value beyond (the name and its ids are older
+        # than that).  The first levels of V <= 3 start below dyadic._EULER_MACLAURIN_START;
+        # (1 << 45) + 7 scales past 2^53, where float(m) rounds.
         top = 16 if value > 1000 else 18
         for level in range(1, top + 1):
-            start = value << level
-            reference = math.fsum(1.0 / (start + i) for i in range(1 << level))
-            assert harmonic_block_sum(value, level) == reference, level
+            assert harmonic_block_sum(value, level) == rounded_block_sum(value, level), level
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -197,14 +198,68 @@ class TestHarmonicBlockSum:
         scaled_bits=st.one_of(st.integers(15, 53), st.integers(54, 62)),
         fraction=st.floats(0, 1, exclude_max=True),
     )
-    def test_equals_fsum_of_terms(self, level, scaled_bits, fraction):
-        # levels on both sides of HARMONIC_CHUNK = 2^12 terms; scaled values
-        # of up to 62 bits, half of them past 2^53 where float(n) rounds
+    def test_equals_the_exact_sum_correctly_rounded(self, level, scaled_bits, fraction):
+        # levels on both sides of the 2^12 terms past which the exact fallback is all but never
+        # reached; scaled values of up to 62 bits, half of them past 2^53 where float(m) rounds
         value_bits = scaled_bits - level
         value = (1 << (value_bits - 1)) + int(fraction * (1 << (value_bits - 1)))
-        start = value << level
-        reference = math.fsum(1.0 / (start + i) for i in range(1 << level))
-        assert harmonic_block_sum(value, level) == reference
+        assert harmonic_block_sum(value, level) == rounded_block_sum(value, level)
+
+    def test_every_swept_block_equals_the_exact_sum_up_to_level_12(self):
+        # the harmonic suite's blocks at levels up to 16: every block of k <= 6 bits, plus 1000
+        for level in range(1, 13):
+            for value in [*range(1, 1 << 7), 1000]:
+                assert harmonic_block_sum(value, level) == rounded_block_sum(value, level), (value, level)
+
+    def test_undecided_interval_falls_back_to_the_exact_gap(self, monkeypatch):
+        # a bound widened 10^40 times holds a rounding midpoint, so the exact gap decides
+        rounding, gaps = dyadic._rounding, []
+
+        def recorded_gap(a, b):
+            gaps.append((a, b))
+            return harmonic_gap(a, b)
+
+        monkeypatch.setattr(dyadic, "_rounding", lambda value, bound: rounding(value, bound * 10**40))
+        monkeypatch.setattr(dyadic, "_harmonic_gap", recorded_gap)
+        for value, level in ((1, 10), (3, 12), (1000, 8)):
+            gaps.clear()
+            assert harmonic_block_sum(value, level) == rounded_block_sum(value, level), (value, level)
+            assert gaps == [((value << level) - 1, ((value + 1) << level) - 1)], (value, level)
+
+    def test_ignores_the_callers_decimal_context(self):
+        blocks = [(1, 20), (3, 16), (1000, 10), ((1 << 45) + 7, 16)]
+        expected = [harmonic_block_sum(value, level) for value, level in blocks]
+        with localcontext(Context(prec=5, rounding=ROUND_FLOOR, traps=[Inexact])):
+            assert [harmonic_block_sum(value, level) for value, level in blocks] == expected
+
+    @pytest.mark.parametrize("levels", [(10, 16, 20), (3, 13, 17)])
+    def test_harmonic_suite_sums_no_exact_gap_past_2_to_12_terms(self, monkeypatch, levels):
+        # every other gap of the suite's sweep comes from its decided Euler-Maclaurin value
+        gap, sizes = dyadic._harmonic_gap, []
+
+        def recorded_gap(a, b):
+            sizes.append(b - a)
+            return gap(a, b)
+
+        monkeypatch.setattr(dyadic, "_harmonic_gap", recorded_gap)
+        reports = []
+        analytic._check_harmonic(reports, levels)
+        assert all(report.passed for report in reports)
+        assert max(sizes, default=0) <= 1 << 12, max(sizes)
+
+    def test_euler_maclaurin_start_is_the_least_its_bound_allows(self):
+        # the bound against half an ulp of the gap, for every block whose start is below 2^10; past it
+        # the bound falls as a^-10 and the ulp only as 1/a
+        def decides(value, level):
+            a = (value << level) - 1
+            gap = float(Fraction(*harmonic_gap(a, a + (1 << level))))
+            return Fraction(1, 132 * a**10) + Fraction(1, 10**45) < Fraction(math.ulp(gap)) / 2
+
+        start = dyadic._EULER_MACLAURIN_START
+        blocks = [(value, level) for level in range(1, 10) for value in range(1, 1 << (10 - level))]
+        assert all(decides(value, level) for value, level in blocks if value << level >= start)
+        # the start just below, 34, has a gap the bound cannot decide
+        assert not decides(17, 1) and 17 << 1 == start - 2
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -213,6 +268,12 @@ class TestHarmonicBlockSum:
             harmonic_block_sum(0b10, 27)
         with pytest.raises(DepthError):
             harmonic_block_sum(1 << 60, 20)
+
+    def test_scaled_values_below_2_to_62(self):
+        largest = (1 << 61) - 1  # scaled by 2, one block below 2^62
+        assert harmonic_block_sum(largest, 1) == rounded_block_sum(largest, 1)
+        with pytest.raises(DepthError, match="2\\^62 or more"):
+            harmonic_block_sum(largest + 1, 1)
 
 
 class TestNormalizationCheck:

@@ -71,7 +71,8 @@ PINNED_STDOUT = {
     "empirical --family pow3 --n 500 --bits 2": "1dfdacd05db0afbaa8c8b2470774f6fe666ce75a0e8ba155caa42b7e7dbbec39",
     "empirical --family rearranged --n 100": "e66802f0c078c5182153221b35c278505bb234aebebb863b64a9ab0953414063",
     " ".join(VERIFY_QUICK): "040ce278f60eff2481776ea18f8be0ea92021db6d2333a6707beee79c186a613",
-    # levels below and past dyadic.HARMONIC_CHUNK = 2^12 terms
+    # level 3's first blocks start below dyadic._EULER_MACLAURIN_START and take exact gaps; the
+    # rest, levels 13 and 17 past the 2^12 terms beyond which exact gaps all but never run, do not
     "verify --suite harmonic --harmonic-levels 3,13,17": "2fdff1cf66c144c7b28ee78398a086c05e2d26d97ec7d6341b140eaf3471fd6e",
     # the default budgets and seed
     "verify --suite all": "ac0e93b2c5f913933ae4254ebc796f3f23efec07cb3b9f867c505914ee5e3aac",
@@ -919,22 +920,23 @@ class TestVerifyCommand:
             assert ran == suites
         assert_no_children()
 
-    def test_series_suite_forks_nothing_and_never_loads_numpy(self):
-        script = """
+    @pytest.mark.parametrize("suite, lines", [("series", 2), ("harmonic", 9)], ids=["series", "harmonic"])
+    def test_suite_forks_nothing_and_never_loads_numpy(self, suite, lines):
+        script = f"""
 import contextlib, io, os, sys
 from benford2 import cli
 
 def no_fork():
-    raise AssertionError("verify --suite series forked")
+    raise AssertionError("verify --suite {suite} forked")
 
-os.sched_getaffinity, os.fork = (lambda pid: {0, 1, 2, 3}), no_fork
+os.sched_getaffinity, os.fork = (lambda pid: {{0, 1, 2, 3}}), no_fork
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = cli.main(["verify", "--suite", "series"])
+    code = cli.main(["verify", "--suite", "{suite}"])
 print(code, len(out.getvalue().splitlines()), "numpy._core" in sys.modules)
 """
         result = run_fresh(script)
         assert result.stderr == ""
-        assert result.stdout == "0 2 False\n"
+        assert result.stdout == f"0 {lines} False\n"
 
 
 class TestEmpiricalCommand:

@@ -18,7 +18,7 @@ from conftest import (
     rounded_p10,
 )
 
-from benford2 import cli, solver
+from benford2 import cli, dyadic, solver
 from benford2.dyadic import DepthError, harmonic_block_sum
 from benford2.solver import (
     ConvergenceError,
@@ -414,7 +414,7 @@ class TestClosedForm:
         n = 1 << depth
         with localcontext(Context(prec=50)):
             for b in (3 * n // 2, 2 * n):
-                error = Fraction(solver._euler_maclaurin_gap(Decimal(n), Decimal(b))) - Fraction(*harmonic_gap(n, b))
+                error = Fraction(dyadic._euler_maclaurin_gap(Decimal(n), Decimal(b))) - Fraction(*harmonic_gap(n, b))
                 assert abs(error) < Fraction(1, 132 * n**10), (depth, b, error)
 
     def test_euler_maclaurin_depth_is_the_least_its_bound_allows(self):
@@ -444,8 +444,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("depth", range(2, 25))
     def test_is_the_three_block_sum_formula(self, depth):
-        # the same ratio from three correctly rounded block sums of float terms, each less one
-        # term, which rounds more than once: within 2 ulp of the correctly rounded closed form
+        # the same ratio from three correctly rounded exact block sums, each less one term, which
+        # rounds more than once: within 2 ulp of the correctly rounded closed form
         n = 1 << depth
         whole = harmonic_block_sum(0b1, depth) - 1 / (2 * n)
         head = harmonic_block_sum(0b10, depth - 1) - 1 / (3 * n)

@@ -214,8 +214,8 @@ class TestPeakMemory:
         assert traced_peak(lambda: convergence_table(20, backend="fast")) <= 2 * self.VECTOR + self.SLACK
 
     def test_closed_table_holds_no_vector(self):
-        # the closed form builds its harmonic terms dyadic.HARMONIC_CHUNK = 2^12 at a
-        # time, a few arrays of 32 KiB; one 2^22-entry vector would be 32 MiB
+        # the closed form builds no array: its harmonic gaps are 50-digit Euler-Maclaurin
+        # values, or exact integers at small depths; one 2^22-entry vector would be 32 MiB
         assert traced_peak(lambda: convergence_table(22)) < self.SLACK
 
 
