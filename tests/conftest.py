@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import benford2
+from benford2.analytic import term_value_by_endpoints, term_value_by_product
 from benford2.solver import convergence_table
-from benford2.transition import apply_fast, build_dense
+from benford2.transition import apply_fast, brute_force_element, build_dense, matrix_element_exact
 
 # (criterion number, title, passed, detail) tuples recorded by the
 # acceptance tests; echoed after the run so every criterion gets one
@@ -95,9 +96,9 @@ def rounded_p10(depth):
     return float(exact)
 
 
-# A slightly wrong version of each product function that ``verify`` checks,
-# by the name ``benford2.analytic`` binds it under, with the identities that
-# must then FAIL at the default budgets
+# A slightly wrong version of each product function and exact oracle that
+# ``verify`` checks, by the name ``benford2.analytic`` binds it under, with
+# the identities that must then FAIL at the default budgets
 MUTATIONS = {
     "apply_fast": (
         lambda vector, depth: apply_fast(vector, depth) * 1.001,
@@ -107,6 +108,22 @@ MUTATIONS = {
     "benford_reference": (
         lambda block, base=2: math.log1p(1.1 / block) / math.log(base),
         {"block-weight-normalization"},
+    ),
+    "term_value_by_endpoints": (
+        lambda t, r: term_value_by_endpoints(t, r) * Fraction(1001, 1000),
+        {"telescoping-exact", "series-tail-bound", "term-two-forms-equal"},
+    ),
+    "term_value_by_product": (
+        lambda t, r: term_value_by_product(t, r) * Fraction(1001, 1000),
+        {"term-two-forms-equal"},
+    ),
+    "brute_force_element": (
+        lambda target, scale, padding: brute_force_element(target, scale, padding) * Fraction(1001, 1000),
+        {"count-oracle-agreement"},
+    ),
+    "matrix_element_exact": (
+        lambda target, scale: matrix_element_exact(target, scale) * Fraction(1001, 1000),
+        {"column-sums-exact", "count-oracle-agreement", "depth2-entry-closed-form"},
     ),
 }
 

@@ -77,7 +77,31 @@ class TestRiemannSum:
             assert abs(image[x] - direct) <= 1e-12
 
 
+def endpoints_reference(bits, r):
+    """Term r as the literal Fraction difference of 1/(1+a) at the ends of [lower, upper]."""
+    upper = 1 - truncate(bits, r - 1)
+    lower = upper - Fraction(1, 1 << r)
+    return bits[r - 1] * (Fraction(1, 1) / (1 + lower) - Fraction(1, 1) / (1 + upper))
+
+
+def product_reference(bits, r):
+    """Term r as the literal Fraction 2^-r / ((2 - head) * (2 - head - 2^-r))."""
+    head = truncate(bits, r - 1)
+    step = Fraction(1, 1 << r)
+    return bits[r - 1] * step / ((2 - head) * (2 - head - step))
+
+
 class TestTermIntegral:
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_each_form_equals_its_fraction_reference(self, length):
+        for packed in range(1 << length):
+            bits = unpack_bits(packed, length)
+            for r in range(1, length + 1):
+                by_endpoints = term_value_by_endpoints(bits, r)
+                by_product = term_value_by_product(bits, r)
+                assert type(by_endpoints) is Fraction and by_endpoints == endpoints_reference(bits, r)
+                assert type(by_product) is Fraction and by_product == product_reference(bits, r)
+
     def test_zero_bit_vanishes(self):
         assert term_value_by_endpoints((0, 1), 1) == 0
 

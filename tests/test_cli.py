@@ -76,6 +76,11 @@ PINNED_STDOUT = {
     "verify --suite harmonic --harmonic-levels 3,13,17": "2fdff1cf66c144c7b28ee78398a086c05e2d26d97ec7d6341b140eaf3471fd6e",
     # the default budgets and seed
     "verify --suite all": "ac0e93b2c5f913933ae4254ebc796f3f23efec07cb3b9f867c505914ee5e3aac",
+    # the edges of the exact budgets: the longest series, the deepest count oracle, and paddings
+    # from the least to the most that depth 8 leaves of MAX_COUNT_BITS
+    "verify --suite all --series-length 16 --oracle-depth 8 --oracle-paddings 1,16,32": (
+        "8fde9813c1bc87ed164da87e78994cec6351c7ba29734410ba237e32bd9aa84d"
+    ),
 }
 
 # The verify lines that check the kernel's image of the trial weights and the

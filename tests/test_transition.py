@@ -219,7 +219,27 @@ class TestPeakMemory:
         assert traced_peak(lambda: convergence_table(22)) < self.SLACK
 
 
+def min_walk_reference(target, scale, padding):
+    """The count walk with every interval clamped to the limit by ``min``."""
+    limit = scale << padding
+    count = 0
+    shift = 0
+    while (target << shift) < limit:
+        count += min((target + 1) << shift, limit) - (target << shift)
+        shift += 1
+    return Fraction(count, limit)
+
+
 class TestBruteForceElement:
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_equals_min_walk_reference(self, depth):
+        blocks = range(1 << depth, 2 << depth)
+        for padding in range(1, 35):
+            for scale in blocks:
+                for target in blocks:
+                    value = brute_force_element(target, scale, padding)
+                    assert type(value) is Fraction and value == min_walk_reference(target, scale, padding)
+
     def test_closed_form_block_100_scale_100(self):
         # count below 2^(m+2) of numbers starting 100: 1+2+...+2^(m-1) = 2^m - 1
         for m in (1, 4, 8, 16):
