@@ -148,8 +148,12 @@ def brute_force_element(target: int, scale: int, padding: int) -> Fraction:
     limit = scale << padding
     count = 0
     shift = 0
-    while (target << shift) < limit:
-        count += min((target + 1) << shift, limit) - (target << shift)
+    while ((target + 1) << shift) <= limit:
+        count += 1 << shift
         shift += 1
+    # the interval that crosses the limit, clamped; the next would start at
+    # target << (shift + 1) >= (target + 1) << shift > limit, as target >= 1
+    if (target << shift) < limit:
+        count += limit - (target << shift)
     return Fraction(count, limit)
 
