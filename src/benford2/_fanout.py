@@ -13,10 +13,10 @@ alone, so which process computes an item changes no result, and each
 prints exactly the bytes of computing every item in one process.
 
 A module that a child's work first imports after the fork is imported
-once in each child.  So a caller whose children need a module that
-:mod:`benford2._lazy` deferred (numpy) loads it with ``load_deferred``
-before calling :func:`fan_out`; this module loads nothing, so a caller
-that never uses numpy forks without it.
+once in each child.  So a caller whose children need numpy, which the
+library imports only inside the functions that use it, runs ``import
+numpy`` before calling :func:`fan_out`; this module loads nothing, so a
+caller that never uses numpy forks without it.
 """
 
 from __future__ import annotations

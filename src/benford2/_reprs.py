@@ -21,8 +21,8 @@ The fast path covers finite x in [1e-11, 1) whose m is not a power of two
 (5^p < 2^63 needs p <= 27; at a power of two the interval is lopsided).
 Every other value, and any whose scaled digits fall outside
 [10^16, 10^17), is printed by ``repr`` itself.  :func:`rows_text` lays
-the prints out in the rows of ``solve``'s and ``matrix``'s tables.  numpy
-is loaded on the first call, not at import.
+the prints out in the rows of ``solve``'s and ``matrix``'s tables.  Only
+their table writer imports this module, after it has loaded numpy itself.
 
 Every integer step stays in ``uint64``: an ``int64`` operand would promote
 the arithmetic to float64 and lose the low bits without an error.
@@ -34,12 +34,10 @@ import functools
 import struct
 from typing import TYPE_CHECKING
 
-from benford2._lazy import lazy_import
+import numpy as np
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike, NDArray
-
-np = lazy_import("numpy")
 
 _WIDTH = 22  # the longest fast print: "0.000" + 17 digits, or "d." + 16 digits + "e-11"
 _MOST = 27  # the largest fast scale p, for E = -11

@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from benford2 import _fanout
-from benford2._lazy import lazy_import, load_deferred
 from benford2.dyadic import (
     MAX_COUNT_BITS,
     MAX_DUMP_DEPTH,
@@ -46,8 +45,6 @@ from benford2.dyadic import (
 )
 from benford2.solver import benford_reference
 from benford2.transition import apply_fast, brute_force_element, build_dense, matrix_element_exact
-
-np = lazy_import("numpy")
 
 SUITES = ("matrix", "series", "integral", "harmonic")
 
@@ -146,6 +143,8 @@ def _bit_grid(depth: int, samples: int, rng: random.Random) -> list[Bits]:
 
 
 def _check_matrix(reports: list[VerificationReport], oracle_depth: int, oracle_paddings: Sequence[int]) -> None:
+    import numpy as np
+
     mismatches = 0
     pairs = 0
     for k in range(0, 8 + 1):
@@ -232,6 +231,8 @@ def _check_matrix(reports: list[VerificationReport], oracle_depth: int, oracle_p
 
 
 def _check_integral(reports: list[VerificationReport], depths: Sequence[int]) -> None:
+    import numpy as np
+
     errors_by_depth: dict[int, float] = {}
     for depth in depths:
         # the trial weights n/(n+a) = 1/(1+a/n); the kernel's image at x is
@@ -436,6 +437,6 @@ def run_suite(
         return [astuple(report) for report in reports]
 
     if len(selected) > 1:
-        load_deferred()  # numpy: once here before any fork, not once in each child
+        import numpy  # once here before any fork, not once in each child
     with closing(_fanout.fan_out(check, [1] * len(selected))) as suites:
         return [VerificationReport(*fields) for suite in suites for fields in suite]

@@ -12,8 +12,8 @@ comparisons and suffix scans.  Bits, most-significant-first as a tuple of
 0/1 ints, remain where an identity is stated bit by bit: the excess sum and
 truncations here, and the series terms of ``analytic``.
 The excess sum also takes 0/1 arrays with the bits on the last axis, so
-one call covers every (scale, target) pair of a depth; numpy is loaded on
-the first call that needs it, not at import.  The harmonic core of
+one call covers every (scale, target) pair of a depth; only those calls
+import numpy, not the module.  The harmonic core of
 ``analytic`` and ``solver`` lives here too, in pure Python: exact and
 Euler-Maclaurin gaps H_b - H_a, and the sum over a block's range from them.
 
@@ -25,16 +25,13 @@ point enters only at module boundaries that need it.
 from __future__ import annotations
 
 import operator
+import sys
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from benford2._lazy import lazy_import
-
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike, NDArray
-
-np = lazy_import("numpy")
 
 Bits = tuple[int, ...]
 
@@ -89,7 +86,9 @@ def _as_bit(bit: int) -> int:
     try:
         return operator.index(bit)
     except TypeError:
-        if isinstance(bit, np.bool_):  # numpy's bool has no __index__, but a bool is a bit
+        # numpy's bool has no __index__, but a bool is a bit; none exists before numpy is loaded
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(bit, np.bool_):
             return int(bit)
         raise TypeError(f"bit {bit!r} is not an int") from None
 
@@ -135,6 +134,8 @@ def truncate(bits: Iterable[int], places: int) -> Fraction:
 
 def _bit_array(bits: ArrayLike) -> NDArray:
     """``bits`` as a bool array whose last axis holds the bits, by the rule of :func:`validate_bits`."""
+    import numpy as np
+
     out = np.asarray(bits)
     if out.size and out.dtype.kind not in "biu":
         raise TypeError(f"bits of dtype {out.dtype} are not ints")
@@ -166,6 +167,8 @@ def excess_population(alpha: ArrayLike, x: ArrayLike) -> int | NDArray:
     single bit vectors, such as two tuples, give a plain ``int``; otherwise
     the result is an int array of the broadcast leading shape.
     """
+    import numpy as np
+
     a = _bit_array(alpha)
     t = _bit_array(x)
     if a.shape[-1] != t.shape[-1]:

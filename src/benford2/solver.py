@@ -26,9 +26,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from typing import TYPE_CHECKING
 
 from benford2 import _fanout
-from benford2._lazy import lazy_import, load_deferred
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_HARMONIC_LEVEL,
@@ -40,7 +40,8 @@ from benford2.dyadic import (
 )
 from benford2.transition import apply_dense, apply_fast, build_dense
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 
 BACKENDS = ("dense", "fast")
 # convergence_table's backends: the closed form, then solve's oracles
@@ -113,6 +114,7 @@ def solve(
     """
     check_int(depth, "depth", 1, _depth_budget(backend, tolerance))
     check_int(max_iterations, "max_iterations", 1)
+    import numpy as np  # after the checks, so that a refused depth loads nothing
 
     matrix = build_dense(depth) if backend == "dense" else None
     n = 1 << depth
@@ -201,6 +203,8 @@ def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:
     the total; ``prefix_bits = depth`` is the identity.  A vector that is
     not 1-D, or is empty, raises :class:`ValueError` naming its shape.
     """
+    import numpy as np
+
     v = np.asarray(probabilities, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"probabilities must be a non-empty 1-D vector, got shape {v.shape}")
@@ -248,7 +252,7 @@ def convergence_table(
     if backend == "closed":
         p10s = [_closed_form(depth)[0] for depth in depths]
     else:
-        load_deferred()  # numpy: once here before any fork, not once in each child
+        import numpy  # once here before any fork, not once in each child
         p10s = _fanout.fan_out(
             lambda i: solve(depths[i], tolerance=tolerance, backend=backend).p10,
             [1 << depth for depth in depths],

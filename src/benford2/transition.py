@@ -25,8 +25,8 @@ bits remain in the excess sum, which is stated bit by bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from benford2._lazy import lazy_import
 from benford2.dyadic import (
     MAX_COUNT_BITS,
     MAX_DENSE_DEPTH,
@@ -35,7 +35,8 @@ from benford2.dyadic import (
     check_int,
 )
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 
 # apply_fast scans 2^15 entries (256 KB of float64) at a time, so the
 # block's weights stay in cache between the division and the scan
@@ -72,6 +73,8 @@ def build_dense(depth: int) -> np.ndarray:
     fl(2/s).  The transpose ``[a, x]`` is built row by row in C order, and
     its ``.T`` is the column-major ``[x, a]`` view with no copy.
     """
+    import numpy as np
+
     n = 1 << check_int(depth, "depth", 1, MAX_DENSE_DEPTH)
     transposed = np.empty((n, n))
     transposed[...] = 1.0 / np.arange(n, 2 * n, dtype=np.float64)[:, np.newaxis]
@@ -82,6 +85,8 @@ def build_dense(depth: int) -> np.ndarray:
 
 def apply_dense(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Plain matrix-vector product against the dense entries."""
+    import numpy as np
+
     v = np.asarray(vector, dtype=np.float64)
     if v.shape != matrix.shape[:1]:
         raise ValueError(f"vector shape {v.shape} does not match matrix shape {matrix.shape}")
@@ -106,6 +111,8 @@ def apply_fast(vector: np.ndarray, depth: int) -> np.ndarray:
     applies ``s + s[0] - w`` in that order.  The input is not modified;
     the returned array is the only 2^k allocation.
     """
+    import numpy as np
+
     n = 1 << check_int(depth, "depth", 1, MAX_VECTOR_DEPTH)
     v = np.asarray(vector, dtype=np.float64)
     if v.shape != (n,):

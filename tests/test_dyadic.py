@@ -18,6 +18,7 @@ from benford2.dyadic import (
     validate_bits,
 )
 from benford2.solver import benford_reference
+from conftest import run_fresh
 
 RNG = random.Random(1702)
 
@@ -293,3 +294,17 @@ class TestFloatBits:
     def test_series_term_refuses(self):
         with pytest.raises(TypeError, match=r"^bit 1\.7 "):
             term_value_by_endpoints((1.7,), 1)
+
+    def test_refusal_never_loads_numpy(self):
+        # no numpy bool can exist before numpy is loaded, so a float bit is refused without it
+        script = """
+import sys
+from benford2.dyadic import truncate, validate_bits
+for refuse in (lambda: validate_bits((0.5,)), lambda: truncate((0.5,), 1)):
+    try:
+        refuse()
+    except TypeError as exc:
+        print(exc, "numpy" in sys.modules)
+"""
+        result = run_fresh(script)
+        assert (result.stdout, result.stderr) == ("bit 0.5 is not an int False\n" * 2, "")
