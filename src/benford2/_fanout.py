@@ -1,16 +1,14 @@
 """Independent items of work spread over the CPUs this process may use.
 
 :func:`fan_out` yields ``work(0)``, ..., ``work(n - 1)`` in order, computing
-some of them in forked children.  It has four callers: ``solve`` and
+some of them in forked children.  It has three callers: ``solve`` and
 ``matrix`` format their rows through it in pieces of 2^``cli.PIECE_BITS``
-(forking only past 2^CHUNK_BITS rows, which no matrix dump has),
-``convergence_table`` solves its depths through it on the ``fast`` and
-``dense`` backends (its default ``closed`` backend forks nothing),
-``verify`` (``analytic.run_suite``) runs its suites through it, and
-``empirical`` (``generate_blocks``) generates the ranges of terms of pow3
-and fibonacci through it.  Every caller's ``work(i)`` depends on ``i``
-alone, so which process computes an item changes no result, and each
-prints exactly the bytes of computing every item in one process.
+(only past 2^CHUNK_BITS rows, which no matrix dump has), ``verify``
+(``analytic.run_suite``) runs its suites through it, and ``empirical``
+(``generate_blocks``) generates the ranges of terms of pow3 and fibonacci
+through it.  Every caller's ``work(i)`` depends on ``i`` alone, so which
+process computes an item changes no result, and each prints exactly the
+bytes of computing every item in one process.
 
 A module that a child's work first imports after the fork is imported
 once in each child.  So a caller whose children need numpy, which the
@@ -24,13 +22,12 @@ from __future__ import annotations
 import marshal
 import os
 import signal
-from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
 # the work worth a fork: solve forks only past 2^16 rows (matrix never: 4^8 rows at
-# most), table1's oracles only for a share above 2^16 entries, and empirical
-# generates ranges of up to 2^16 terms
+# most), and empirical generates ranges of up to 2^16 terms
 CHUNK_BITS = 16
 _SIZE_BYTES = 8  # each frame a child sends starts with its size
 
@@ -63,34 +60,16 @@ def _receive(reader: BinaryIO) -> object:
     return marshal.loads(reader.read(size))  # a frame cut short raises EOFError
 
 
-def _assign(weights: Sequence[int], workers: int) -> tuple[list[int], list[int]]:
-    """The worker of each item and the load of each worker.
+def fan_out(work: Callable[[int], T], count: int) -> Iterator[T]:
+    """Yield ``work(0)``, ..., ``work(count - 1)``, in order.
 
-    Heaviest item first (ties in item order), each goes to the least-loaded
-    worker (ties to the lowest number).  Equal weights give item i to worker
-    i mod ``workers``.
-    """
-    owner = [0] * len(weights)
-    loads = [0] * workers
-    for item in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        worker = loads.index(min(loads))
-        owner[item] = worker
-        loads[worker] += weights[item]
-    return owner, loads
-
-
-def fan_out(work: Callable[[int], T], weights: Sequence[int], floor: int = 0) -> Iterator[T]:
-    """Yield ``work(0)``, ..., ``work(len(weights) - 1)``, in order.
-
-    The items are split over W = min(CPUs in this process's affinity mask,
-    items) workers by :func:`_assign`.  This process is the worker of item
-    0, so it starts on the first item at once and, when the weights grow
-    along the items, leaves the heaviest to the others.  Each other worker
-    whose share weighs more than ``floor`` is a forked child that computes
-    its items in order and marshals each ``(item, result)`` into its own
-    pipe as soon as it is computed; a lighter share stays here.  This
-    process computes its own items in order and reads a child's result when
-    it reaches that child's item.
+    Item i goes to worker i mod W, with W = min(CPUs in this process's
+    affinity mask, ``count``).  This process is worker 0, so it starts on
+    the first item at once; each other worker is a forked child that
+    computes its items in order and marshals each ``(item, result)`` into
+    its own pipe as soon as it is computed.  This process computes its own
+    items in order and reads a child's result when it reaches that child's
+    item.
     It computes any item whose result does not arrive (the child failed or
     could not be forked) itself, so errors are those of computing every
     item here.  A child sends only a result that :mod:`marshal` reads back
@@ -98,14 +77,12 @@ def fan_out(work: Callable[[int], T], weights: Sequence[int], floor: int = 0) ->
     Every child is killed and reaped when the generator finishes, raises or
     is closed.
     """
-    count = len(weights)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
-    owner, loads = _assign(weights, min(len(cpus), count))
+    workers = min(len(cpus), count)
     readers: dict[int, BinaryIO] = {}
     pids = []
-    children = [worker for worker, load in enumerate(loads) if worker != owner[0] and load > floor]
     try:
-        for worker in children:
+        for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -119,12 +96,11 @@ def fan_out(work: Callable[[int], T], weights: Sequence[int], floor: int = 0) ->
                     for reader in readers.values():
                         reader.close()
                     with open(write_fd, "wb") as pipe:
-                        for item in range(count):
-                            if owner[item] == worker:
-                                frame = _frame(item, work(item))
-                                pipe.write(len(frame).to_bytes(_SIZE_BYTES, "little"))
-                                pipe.write(frame)
-                                pipe.flush()
+                        for item in range(worker, count, workers):
+                            frame = _frame(item, work(item))
+                            pipe.write(len(frame).to_bytes(_SIZE_BYTES, "little"))
+                            pipe.write(frame)
+                            pipe.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -133,7 +109,7 @@ def fan_out(work: Callable[[int], T], weights: Sequence[int], floor: int = 0) ->
             readers[worker] = open(read_fd, "rb")
         for item in range(count):
             frame = None  # frees the last result before the next one is read
-            worker = owner[item]
+            worker = item % workers
             if worker in readers:
                 try:
                     frame = _receive(readers[worker])

@@ -392,8 +392,8 @@ def run_suite(
     ``random.Random`` refuses ``TypeError``, before any suite runs.
 
     The selected suites are the items of :func:`benford2._fanout.fan_out`,
-    with equal weights, so on W CPUs suite i runs in worker i mod W; this
-    process is worker 0 and runs the first suite (matrix, under "all").
+    so on W CPUs suite i runs in worker i mod W; this process is worker 0
+    and runs the first suite (matrix, under "all").
     ``samples`` and ``seed`` set only the series suite's random vectors,
     which it draws from one ``random.Random(seed)``, built with the budget
     checks.  A suite sends back its reports as ``(identity, params, error,
@@ -438,5 +438,5 @@ def run_suite(
 
     if len(selected) > 1:
         import numpy  # once here before any fork, not once in each child
-    with closing(_fanout.fan_out(check, [1] * len(selected))) as suites:
+    with closing(_fanout.fan_out(check, len(selected))) as suites:
         return [VerificationReport(*fields) for suite in suites for fields in suite]

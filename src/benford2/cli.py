@@ -3,8 +3,8 @@
 Every subcommand is a pure function of its flags (randomized checks use a
 fixed default seed), writes to standard output unless ``--out`` is given,
 and follows one exit-code contract: 0 on success or all checks passing,
-1 on a computation or verification failure or a reader that closed the
-output early, 2 on a usage error.
+1 on a computation or verification failure, a failed write or a reader
+that closed the output early, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def _write_table(
     """Write one row per entry of the flat float64 array ``values``: a label per name but the last
     (1 and the bits of a base-2^k digit of the row's number, most significant first), then the value.
     CSV is a line of ``names``, the rows and ``footer``; JSON is ``json.dumps({**summary, key: rows},
-    indent=2)``.  The rows are laid out 2^PIECE_BITS at a time through ``fan_out``, one write each.
+    indent=2)``.  The rows are laid out 2^PIECE_BITS at a time, one write each, through ``fan_out`` past
+    2^CHUNK_BITS rows.
     """
     import numpy as np
 
@@ -98,11 +99,11 @@ def _write_table(
         # a JSON row starts with the comma that ends the row before it, but the first
         return _reprs.rows_text(fields, values[piece << low : (piece + 1) << low], after, 0 if piece else len(comma))
 
-    # a table of at most 2^CHUNK_BITS rows is formatted here (no share outweighs
-    # its whole weight); a longer one gives every other worker's share to a child
-    floor = 0 if bits > _fanout.CHUNK_BITS else 1 << bits
+    # a table of at most 2^CHUNK_BITS rows is formatted here, a longer one over the CPUs
+    count = 1 << high
+    texts = _fanout.fan_out(rows, count) if bits > _fanout.CHUNK_BITS else (rows(piece) for piece in range(count))
     out.write(head)
-    with closing(_fanout.fan_out(rows, [1 << low] * (1 << high), floor)) as pieces:
+    with closing(texts) as pieces:
         for text in pieces:
             out.write(text)
             del text  # frees the piece's text before the next one is made
@@ -251,7 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # the reader stopped early, as `| head` does: exit 1, quietly
+    except OSError as exc:  # a failed write: exit 1, quietly if the reader stopped early, as `| head` does
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         if out is sys.__stdout__:  # what it still buffers goes to /dev/null, so the flush at exit raises nothing
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), out.fileno())

@@ -225,11 +225,10 @@ def _ranged_blocks(blocks_of: Callable, count: int, block_digits: int, base: int
     """Blocks of terms 1, ..., ``count`` by ``blocks_of``, in ranges spread over the CPUs.
 
     The ⌈count / 2^CHUNK_BITS⌉ ranges, equal to within a term, are the items of
-    :func:`benford2._fanout.fan_out`, weighted by their term counts, so a
-    count up to 2^CHUNK_BITS is one range and forks nothing.  Two or more
-    ranges hold at least 2^(CHUNK_BITS - 1) terms each, tens of
-    milliseconds of work against about one for a fork, so no share is kept
-    back by a floor.  Each range starts from the exact term before it.
+    :func:`benford2._fanout.fan_out`, so a count up to 2^CHUNK_BITS is one
+    range and forks nothing.  Two or more ranges hold at least
+    2^(CHUNK_BITS - 1) terms each, tens of milliseconds of work against
+    about one for a fork.  Each range starts from the exact term before it.
     """
     ranges = -(-count >> _fanout.CHUNK_BITS)
     bounds = [1 + count * r // ranges for r in range(ranges + 1)]
@@ -237,7 +236,7 @@ def _ranged_blocks(blocks_of: Callable, count: int, block_digits: int, base: int
     def work(item: int) -> list[int]:
         return blocks_of(bounds[item], bounds[item + 1], block_digits, base)
 
-    with closing(_fanout.fan_out(work, [hi - lo for lo, hi in zip(bounds, bounds[1:])])) as parts:
+    with closing(_fanout.fan_out(work, ranges)) as parts:
         return list(itertools.chain.from_iterable(parts))
 
 

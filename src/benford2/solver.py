@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from typing import TYPE_CHECKING
 
-from benford2 import _fanout
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_HARMONIC_LEVEL,
@@ -238,13 +237,9 @@ def convergence_table(
     grow with the depth: no solve, no fork, no numpy and no 2^depth vector.
     ``tolerance`` is validated on every backend but used only by the
     oracles ``"fast"`` and ``"dense"``, which power-iterate each depth with
-    :func:`solve`.  Their depths are independent solves, spread over the
-    CPUs this process may use by :func:`benford2._fanout.fan_out`, each
-    weighted by its 2^depth entries; a child is forked only for a share
-    above one 2^16-entry chunk, so no table up to depth 16 forks.  A child
-    sends back only ``p10``, a float that marshals exactly, so the rows are
-    those of solving every depth here.  Only ``p10`` is kept from each
-    solve, so each depth's vector is freed before the next solve starts.
+    :func:`solve`, one after another in this process.  Only ``p10`` is kept
+    from each solve, so each depth's vector is freed before the next solve
+    starts.
     """
     check_int(max_depth, "max_depth", 1, _depth_budget(backend, tolerance, _TABLE_BACKENDS))
     reference = math.log2(1.5)
@@ -252,12 +247,7 @@ def convergence_table(
     if backend == "closed":
         p10s = [_closed_form(depth)[0] for depth in depths]
     else:
-        import numpy  # once here before any fork, not once in each child
-        p10s = _fanout.fan_out(
-            lambda i: solve(depths[i], tolerance=tolerance, backend=backend).p10,
-            [1 << depth for depth in depths],
-            floor=1 << _fanout.CHUNK_BITS,
-        )
+        p10s = [solve(depth, tolerance=tolerance, backend=backend).p10 for depth in depths]
     return [
         ConvergenceRow(depth=depth, p10=p10, reference=reference, rel_err=abs(p10 - reference) / reference)
         for depth, p10 in zip(depths, p10s)

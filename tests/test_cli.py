@@ -260,7 +260,7 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_fan_out_loads_numpy_once_before_forking():
-    # table1 and verify --suite all load numpy before fan_out forks; a child
+    # solve and verify --suite all load numpy before fan_out forks; a child
     # reports whether numpy is loaded before its item touches it, so "True"
     # there means it was loaded before the fork, once for every child
     script = """
@@ -269,13 +269,13 @@ from benford2 import _fanout, cli
 
 fan_out, parent = _fanout.fan_out, os.getpid()
 
-def reporting(work, weights, floor=0):
+def reporting(work, count):
     def work_and_report(item):
         if os.getpid() != parent:
             os.write(2, f"{'numpy' in sys.modules} ".encode())
         return work(item)
 
-    return fan_out(work_and_report, weights, floor)
+    return fan_out(work_and_report, count)
 
 _fanout.fan_out = reporting
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -283,8 +283,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(%r)
 print(code)
 """
-    # table1 --kmax 17 --backend fast: the child solves depth 17; verify: it runs series and harmonic
-    for argv, reports in [(["table1", "--kmax", "17", "--backend", "fast"], 1), (VERIFY_QUICK, 2)]:
+    # solve --k 17: the child formats 16 of the 32 pieces; verify: it runs series and harmonic
+    for argv, reports in [(["solve", "--k", "17"], 16), (VERIFY_QUICK, 2)]:
         result = run_fresh(script % argv)
         assert (result.stdout, result.stderr) == ("0\n", "True " * reports)
 
@@ -303,7 +303,7 @@ def test_fan_out_leaves_what_marshal_changes_to_the_process(monkeypatch, forks, 
             here.append(item)
         return value if item == 1 else item
 
-    results = list(_fanout.fan_out(work, [1] * 4))
+    results = list(_fanout.fan_out(work, 4))
     assert results == [0, value, 2, 3] and type(results[1]) is type(value)
     assert here == [0, 1, 2] and len(forks) == 1
     assert_no_children()
@@ -321,7 +321,7 @@ def test_child_result_arrives_before_its_next_item(monkeypatch, forks):
         return item
 
     start = time.monotonic()
-    with contextlib.closing(_fanout.fan_out(work, [1] * 4)) as results:
+    with contextlib.closing(_fanout.fan_out(work, 4)) as results:
         assert [next(results), next(results)] == [0, 1]
         assert time.monotonic() - start < 5
     assert len(forks) == 1
@@ -375,6 +375,51 @@ class TestSolveCommand:
             process.stdout.close()
             assert process.wait(timeout=120) == 1
             assert process.stderr.read() == b""
+
+    @pytest.mark.parametrize("target", ["--out", "stdout"])
+    @pytest.mark.parametrize(
+        "argv, children", [(["solve", "--k", "17"], 1), (["table1", "--kmax", "3"], 0)], ids=["solve", "table1"]
+    )
+    def test_full_disk_exits_1_with_one_error_line(self, tmp_path, argv, children, target):
+        # on two CPUs solve's 2^17 rows fork a writer child before the first piece fails to write (a
+        # buffered stdout holds the header until then); the script reports its forks and any child still
+        # alive to a file, since stdout may be the full disk
+        script = """
+import os, sys
+from benford2 import cli
+
+forks, fork = [], os.fork
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = counting_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)  # a child, running or not yet reaped
+    survivor = True
+except ChildProcessError:
+    survivor = False
+with open(sys.argv[1], "w") as report:
+    report.write(f"{len(forks)} {survivor}")
+sys.exit(code)
+"""
+        report = tmp_path / "report"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONUNBUFFERED="")
+        command = [sys.executable, "-c", script, str(report), *argv]
+        with open("/dev/full", "w") as full:
+            if target == "--out":
+                result = subprocess.run([*command, "--out", "/dev/full"], capture_output=True, text=True, env=env)
+            else:
+                result = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert report.read_text() == f"{children} False"
 
     def test_depth_guard_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -466,14 +511,14 @@ class TestSolveCommand:
         if failure.startswith("raises"):
             fan_out = _fanout.fan_out
 
-            def flaky(format_piece, weights, floor=0):
+            def flaky(format_piece, count):
                 def format_or_fail(piece):
                     # "raises-late": each child sends its first piece, then fails
                     if os.getpid() != parent and (failure == "raises" or piece > 2):
                         raise RuntimeError("formatting failed in the child")
                     return format_piece(piece)
 
-                return fan_out(format_or_fail, weights, floor)
+                return fan_out(format_or_fail, count)
 
             monkeypatch.setattr(_fanout, "fan_out", flaky)
         elif failure == "no-fork":
@@ -609,10 +654,7 @@ print(code, "numpy" in sys.modules, out.getvalue().splitlines()[-1].split(",")[1
         assert excinfo.value.code == 2
         assert forks == []
 
-    # children forked for each (kmax, CPUs): weights 2^depth, heaviest share
-    # first, a child only for a share above 2^16
-    FORKS = {(17, 1): 0, (17, 2): 1, (17, 3): 1, (18, 1): 0, (18, 2): 1, (18, 3): 2}
-
+    # the oracle tables solve every depth in this process, on any number of CPUs
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2}], ids=len)
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("kmax", [17, 18])
@@ -622,7 +664,7 @@ print(code, "numpy" in sys.modules, out.getvalue().splitlines()[-1].split(",")[1
         single = run_cli(capsys, *argv)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         assert run_cli(capsys, *argv) == single
-        assert single[0] == 0 and len(forks) == self.FORKS[kmax, len(cpus)]
+        assert single[0] == 0 and forks == []
         rows = json.loads(single[1]) if fmt == "json" else single[1].splitlines()[1:]
         assert len(rows) == kmax
         assert_no_children()
@@ -642,7 +684,7 @@ print(code, "numpy" in sys.modules, out.getvalue().splitlines()[-1].split(",")[1
 
     @pytest.mark.parametrize("failure", ["raises", "convergence"])
     def test_failed_child_falls_back(self, capsys, monkeypatch, forks, failure):
-        # "raises": depth 17 fails in the child only, so the parent solves it;
+        # "raises": depth 17 fails in a child only, and no child is forked;
         # "convergence": it fails everywhere, and the error is the one-CPU run's
         solve, parent = solver.solve, os.getpid()
 
@@ -658,14 +700,14 @@ print(code, "numpy" in sys.modules, out.getvalue().splitlines()[-1].split(",")[1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert run_cli(capsys, *argv) == single
         assert single[0] == (0 if failure == "raises" else 1)
-        assert len(forks) == 1
+        assert forks == []
         assert_no_children()
 
     def test_no_child_outlives_interrupt(self, capsys, monkeypatch, forks):
         solve = solver.solve
 
         def interrupted(depth, **kwargs):
-            if depth == 5:  # in this process, while the child solves depth 17
+            if depth == 5:  # before depth 17, which no child solves
                 raise KeyboardInterrupt
             return solve(depth, **kwargs)
 
@@ -673,7 +715,7 @@ print(code, "numpy" in sys.modules, out.getvalue().splitlines()[-1].split(",")[1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(KeyboardInterrupt):
             cli.main(["table1", "--kmax", "17", "--backend", "fast"])
-        assert len(forks) == 1
+        assert forks == []
         assert_no_children()
 
 
@@ -733,7 +775,7 @@ class TestMatrixCommand:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         writes = recorded_writes(monkeypatch)
         assert cli.main(["matrix", "--k", "8", "--format", fmt]) == 0
-        assert forks == []  # 4^8 = 2^16 entries are the floor of fan_out: nothing forks
+        assert forks == []  # 4^8 = 2^16 entries, not past 2^CHUNK_BITS: nothing forks
         entries = [text.count('"value"') if fmt == "json" else text.count("\n") for text in writes]
         # the head (in CSV one line), 16 pieces of 2^12 entries each, the tail
         assert entries == [1 if fmt == "csv" else 0, *[1 << 12] * 16, 0]
