@@ -145,7 +145,7 @@ def brute_force_element(target: int, scale: int, padding: int) -> Fraction:
     Counts the integers in [0, scale * 2^padding) whose binary expansion
     starts with the target block.  The numbers with a fixed bit length j
     that start with a given (k+1)-bit block form one aligned interval, so
-    the count walks bit lengths and clamps the top interval; no
+    the count walks bit lengths and adds each whole interval; no
     per-integer loop is ever run.  At padding m the result is
     within 2^(1-m) of the limiting matrix element (short numbers, those
     with fewer than k+1 bits, are missing from the count).
@@ -158,9 +158,7 @@ def brute_force_element(target: int, scale: int, padding: int) -> Fraction:
     while ((target + 1) << shift) <= limit:
         count += 1 << shift
         shift += 1
-    # the interval that crosses the limit, clamped; the next would start at
-    # target << (shift + 1) >= (target + 1) << shift > limit, as target >= 1
-    if (target << shift) < limit:
-        count += limit - (target << shift)
+    # no interval crosses the limit: blocks of one depth have 2 * target > scale, so the walk stops
+    # at shift = padding + 1 if target < scale and at padding otherwise, where target << shift >= limit
     return Fraction(count, limit)
 

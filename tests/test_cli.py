@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -19,7 +20,7 @@ import pytest
 from conftest import DEPTH2_PRINTED, MUTATIONS, assert_no_children, rounded_p10, run_fresh
 
 import benford2
-from benford2 import _fanout, analytic, cli, solver, transition
+from benford2 import _fanout, analytic, cli, empirical, solver, transition
 from benford2.analytic import VerificationReport
 from benford2.solver import ConvergenceError, convergence_table, solve
 
@@ -238,8 +239,8 @@ CLI_DEFAULTS = [
     (["table1", "--kmax", "1"], "tolerance", solver.convergence_table, "tolerance"),
     (["table1", "--kmax", "1"], "backend", solver.convergence_table, "backend"),
     (["verify"], "suite", analytic.run_suite, "which"),
-    (["empirical", "--family", "pow3", "--n", "1"], "bits", cli.empirical.SequenceSpec, "block_bits"),
-    (["empirical", "--family", "pow3", "--n", "1"], "base", cli.empirical.SequenceSpec, "base"),
+    (["empirical", "--family", "pow3", "--n", "1"], "bits", empirical.SequenceSpec, "block_bits"),
+    (["empirical", "--family", "pow3", "--n", "1"], "base", empirical.SequenceSpec, "base"),
 ]
 
 
@@ -251,6 +252,47 @@ def test_cli_defaults_are_the_library_defaults(argv, dest, function, name):
     parsed = getattr(cli.build_parser().parse_args(argv), dest)
     default = inspect.signature(function).parameters[name].default
     assert type(parsed) is type(default) and parsed == default
+
+
+# (command, flag's dest, the library's values): the parser writes these out, so it loads neither module
+CLI_CHOICES = [("verify", "suite", analytic.SUITES + ("all",)), ("empirical", "family", empirical.FAMILIES)]
+
+
+@pytest.mark.parametrize("command, dest, values", CLI_CHOICES, ids=[dest for _, dest, _ in CLI_CHOICES])
+def test_cli_choices_are_the_library_values(command, dest, values):
+    (sub,) = [action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    (action,) = [action for action in sub.choices[command]._actions if action.dest == dest]
+    assert action.choices == values
+
+
+# the benford2 modules each command leaves unloaded
+UNLOADED = {
+    "table1 --kmax 24": {"analytic", "empirical", "_reprs"},
+    "solve --k 1": {"analytic", "empirical"},
+    "verify --suite harmonic": {"empirical"},
+    "empirical --family pow3 --n 100": {"analytic"},
+}
+LOADED_SCRIPT = """
+import contextlib, io, sys
+import benford2
+print(*sorted(name for name in sys.modules if name.startswith("benford2")))
+from benford2 import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(%r)
+print(code, *sorted(name for name in sys.modules if name.startswith("benford2")))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(UNLOADED))
+def test_command_loads_only_its_modules(command):
+    # in a fresh interpreter: import benford2 loads no submodule, then one command runs
+    result = run_fresh(LOADED_SCRIPT % command.split())
+    assert result.stderr == ""
+    imported, ran = result.stdout.splitlines()
+    assert imported == "benford2"
+    code, *loaded = ran.split()
+    assert code == "0"
+    assert {f"benford2.{name}" for name in UNLOADED[command]}.isdisjoint(loaded)
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -857,13 +899,13 @@ class TestVerifyCommand:
         flags = vars(cli.build_parser().parse_args(["verify"]))
         for name in ("command", "handler", "out", "suite"):
             del flags[name]
-        parameters = inspect.signature(cli.analytic.run_suite).parameters.values()
+        parameters = inspect.signature(analytic.run_suite).parameters.values()
         keywords = {p.name: p.default for p in parameters if p.kind is inspect.Parameter.KEYWORD_ONLY}
         assert flags == keywords
 
     def test_failing_report_exits_1(self, capsys, monkeypatch):
         failing = VerificationReport(identity="demo", params="p", error=1.0, bound=0.5)
-        monkeypatch.setattr(cli.analytic, "run_suite", lambda *a, **k: [failing])
+        monkeypatch.setattr(analytic, "run_suite", lambda *a, **k: [failing])
         code, out, _ = run_cli(capsys, "verify", "--suite", "harmonic")
         assert code == 1
         assert out.startswith("FAIL demo")
@@ -1063,7 +1105,7 @@ class TestEmpiricalCommand:
         def never_generated(spec):
             raise AssertionError("blocks were generated")
 
-        monkeypatch.setattr(cli.empirical, "generate_blocks", never_generated)
+        monkeypatch.setattr(empirical, "generate_blocks", never_generated)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["empirical", "--family", "fibonacci", "--n", "200000", "--bits", "40"])
         assert excinfo.value.code == 2
@@ -1140,7 +1182,7 @@ class TestOutPath:
         def must_not_run(*args, **kwargs):
             raise AssertionError("verify computed before opening --out")
 
-        monkeypatch.setattr(cli.analytic, "run_suite", must_not_run)
+        monkeypatch.setattr(analytic, "run_suite", must_not_run)
         target = tmp_path / "missing_dir" / "x.txt"
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "--out", str(target)])

@@ -81,6 +81,14 @@ class TestLeadingBlock:
         assert leading_block(1, 1, 2) == 1
         assert leading_block(5, 4, 2) == 0b101
 
+    def test_digit_count_corrects_an_overshooting_log(self):
+        # int(math.log(v, base)) is e at v = base^e - 1, which has e digits: the first such e
+        # in bases 10, 3, 7 and 16
+        assert leading_block(10**16 - 1, 2, 10) == 999
+        assert leading_block(3**32 - 1, 1, 3) == 8
+        assert leading_block(7**17 - 1, 1, 7) == 48
+        assert leading_block(16**12 - 1, 1, 16) == 255
+
     def test_scale_free(self):
         rng = random.Random(64)
         for base in (2, 10, 7):
@@ -373,6 +381,12 @@ class TestFrequencyReport:
             report = frequency_report([base**bits], bits, base)
             assert abs(sum(report.expected) - 1.0) <= 1e-12
 
+    def test_chi_square_is_added_left_to_right(self):
+        # the same float, and so the same printed bytes, on every Python: sum() of floats
+        # compensates its rounding since 3.12 and gives 0.36946977560206123 here
+        report = frequency_report(generate_blocks(SequenceSpec("pow3", 100, 3)), 3)
+        assert report.chi_square == 0.3694697756020612
+
     def test_chi_square_hand_computed(self):
         blocks = [0b10] * 6 + [0b11] * 4
         report = frequency_report(blocks, 1, 2)
@@ -462,6 +476,13 @@ class TestRearrangement:
         natural, rearranged = rearrangement_demo(8)
         assert rearranged == 0.5
         assert natural == 0.25
+
+    def test_frequencies_are_those_of_the_walk(self):
+        # the closed form against the multiples of four counted term by term
+        for count in [*range(4, 2001), 200_000, 200_001, 200_003]:
+            natural = sum(1 for v in range(1, count + 1) if v % 4 == 0) / count
+            rearranged = sum(1 for v in empirical._interleave(count) if v % 4 == 0) / count
+            assert rearrangement_demo(count) == (natural, rearranged), count
 
     def test_limit_frequencies(self):
         natural, rearranged = rearrangement_demo(10_000)

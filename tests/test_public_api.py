@@ -42,6 +42,38 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert set(benford2.__all__) - used_names() == set()
 
 
+PUBLIC_NAMES = [
+    "Bits", "ConvergenceError", "ConvergenceRow", "DepthError", "FAMILIES", "FrequencyReport",
+    "MAX_COUNT_BITS", "MAX_DENSE_DEPTH", "MAX_VECTOR_DEPTH", "SUITES", "SequenceSpec",
+    "SolveReport", "VerificationReport", "aggregate", "apply_dense", "apply_fast",
+    "benford_reference", "brute_force_element", "build_dense", "convergence_table",
+    "excess_population", "frequency_report", "generate_blocks", "harmonic_block_sum",
+    "leading_block", "matrix_element_exact", "normalization_check", "pack_bits",
+    "rearrangement_demo", "run_suite", "series_partial_sum", "solve", "term_value_by_endpoints",
+    "term_value_by_product", "truncate", "unpack_bits",
+]
+
+
+def test_public_names_are_unchanged():
+    assert benford2.__all__ == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from benford2 import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC_NAMES) <= set(dir(benford2))
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'benford2' has no attribute 'no_such_name'$"):
+        benford2.no_such_name
+    assert not hasattr(benford2, "DEFAULT_SEED")  # a module's name that is not public
+
+
 # One call per public function and integer parameter: the argument is the
 # parameter's value, every other argument is valid.  A list budget of
 # run_suite takes the value as its one entry.
