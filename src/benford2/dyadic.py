@@ -14,8 +14,10 @@ truncations here, and the series terms of ``analytic``.
 The excess sum also takes 0/1 arrays with the bits on the last axis, so
 one call covers every (scale, target) pair of a depth; only those calls
 import numpy, not the module.  The harmonic core of
-``analytic`` and ``solver`` lives here too, in pure Python: exact and
-Euler-Maclaurin gaps H_b - H_a, and the sum over a block's range from them.
+``analytic`` and ``solver`` lives here too, in pure Python: one
+Euler-Maclaurin interval for a gap H_b - H_a, from which the sum over a
+block's range and the ratio of two gaps are rounded, with the exact
+integer gap wherever that interval holds a rounding midpoint.
 
 All values derived from bits are exact: integers for block values,
 ``fractions.Fraction`` for dyadic fractions and truncations.  Floating
@@ -50,10 +52,12 @@ MAX_COUNT_BITS = 40
 MAX_HARMONIC_LEVEL = 26
 # A&S 6.3.18: H_m = ln m + gamma + 1/(2m) - 1/(12m^2) + 1/(120m^4) - 1/(252m^6)
 # + 1/(240m^8) - R(m), as (numerator, denominator, power of 1/m), with
-# 0 < R(m) < |B_10|/(10m^10) = 1/(132m^10): the series envelops H_m
+# 0 < R(m) < |B_10|/(10m^10) = 1/(132m^10) for every m >= 1: the series envelops H_m
 _EULER_MACLAURIN_TERMS = ((1, 2, 1), (-1, 12, 2), (1, 120, 4), (-1, 252, 6), (1, 240, 8))
-# the least start V*2^level from which 1/(132a^10) lies below half an ulp of every gap
-_EULER_MACLAURIN_START = 36
+# the harmonic core's decimal arithmetic: 50 digits, not the caller's context, whose
+# precision, traps or rounding may differ; each formula it evaluates is off by under 10^-45
+_DIGITS = Context(prec=50)
+_ROUNDOFF = Decimal("1e-45")
 
 
 class DepthError(ValueError):
@@ -192,18 +196,49 @@ def _harmonic_gap(a: int, b: int) -> tuple[int, int]:
     return p * s + r * q, q * s
 
 
-def _euler_maclaurin_gap(a: Decimal, b: Decimal) -> Decimal:
-    """H_b - H_a from the terms of ``_EULER_MACLAURIN_TERMS``, in the current decimal context."""
-    total = (b / a).ln()
-    for numerator, denominator, power in _EULER_MACLAURIN_TERMS:
-        total += Decimal(numerator) / denominator * (1 / b**power - 1 / a**power)
-    return total
+def _euler_maclaurin_gap(a: int, b: int) -> tuple[Decimal, Decimal]:
+    """H_b - H_a for 1 <= a < b, as a 50-digit midpoint from the terms of
+    ``_EULER_MACLAURIN_TERMS`` and a radius that holds the exact gap.
+
+    Both remainders R(a) and R(b) lie in (0, 1/(132a^10)), so R(b) - R(a)
+    lies within 1/(132a^10); the radius adds 10^-45 for the arithmetic.
+    """
+    with localcontext(_DIGITS):
+        x, y = Decimal(a), Decimal(b)
+        total = (y / x).ln()
+        for numerator, denominator, power in _EULER_MACLAURIN_TERMS:
+            total += Decimal(numerator) / denominator * (1 / y**power - 1 / x**power)
+        return total, 1 / (132 * x**10) + _ROUNDOFF
 
 
 def _rounding(value: Decimal, bound: Decimal) -> float | None:
     """The float every number within ``bound`` of ``value`` rounds to, or ``None`` if the ends differ."""
-    low = float(value - bound)
-    return low if low == float(value + bound) else None
+    with localcontext(_DIGITS):
+        low = float(value - bound)
+        return low if low == float(value + bound) else None
+
+
+def harmonic_shares(a: int, b: int, c: int) -> tuple[float, float]:
+    """(H_b - H_a)/(H_c - H_a) and (H_c - H_b)/(H_c - H_a) for 1 <= a < b < c,
+    each correctly rounded, as ``float(Fraction)`` rounds.
+
+    With two intervals of :func:`_euler_maclaurin_gap`, A +- e for H_b - H_a
+    and W +- f for the whole gap, the exact share lies within
+    (e + (A/W)f)/(W - f) of A/W, and the other share, one minus it, as far
+    from 1 - A/W; 10^-45 more covers the arithmetic.  Where the interval
+    around either share holds a rounding midpoint, the shares come from the
+    exact integer gaps, each quotient rounded once by int true division.
+    """
+    (head, e), (whole, f) = _euler_maclaurin_gap(a, b), _euler_maclaurin_gap(a, c)
+    with localcontext(_DIGITS):
+        share = head / whole
+        bound = (e + share * f) / (whole - f) + _ROUNDOFF
+        rounded = _rounding(share, bound), _rounding(1 - share, bound)
+    if None not in rounded:
+        return rounded
+    (p, q), (r, s) = _harmonic_gap(a, b), _harmonic_gap(b, c)
+    head, tail = p * s, r * q
+    return head / (head + tail), tail / (head + tail)
 
 
 def harmonic_block_sum(block: int, level: int) -> float:
@@ -212,28 +247,24 @@ def harmonic_block_sum(block: int, level: int) -> float:
     This is the left Riemann sum of 1/t over the range, so it brackets
     ln((V+1)/V) from above with error below 1/(V*2^level).  It is H_b - H_a
     with a = V*2^level - 1 and b = a + 2^level, rounded once, as
-    ``float(Fraction)`` rounds: from ``_EULER_MACLAURIN_START`` on, where a
-    50-digit Euler-Maclaurin gap, in its own decimal context, rounds to one
-    float over the whole interval of half-width 1/(132a^10), for R(b) - R(a),
-    plus 10^-45, for the decimal arithmetic; otherwise from the exact integer
-    gap.  The exact sum is never a rounding midpoint: a prime above 2^level
-    divides exactly one term (Bertrand's postulate for V = 1, Sylvester's
-    theorem otherwise).  The gap exceeds 1/(V+1); from 2^13 terms on V is
-    below 2^49 and the half-width below 2^-136, so the interval holds a
-    midpoint with a chance below 2^-34 (2^-72 for V <= 2^10): past 2^12
-    terms the exact fallback is reached only with negligible probability.
-    A scaled value of 2^62 or more raises :class:`DepthError`: below it the
-    gap exceeds 2^-61 and half its ulp 2^-114, far above the 10^-45.
+    ``float(Fraction)`` rounds: from the interval of
+    :func:`_euler_maclaurin_gap` where it rounds to one float, and
+    otherwise, as at the smallest starts, from the exact integer gap.  The
+    exact sum is never a rounding midpoint: a prime above 2^level divides
+    exactly one term (Bertrand's postulate for V = 1, Sylvester's theorem
+    otherwise).  The gap exceeds 1/(V+1); from 2^13 terms on V is below
+    2^49 and the radius below 2^-136, so the interval holds a midpoint with
+    a chance below 2^-34 (2^-72 for V <= 2^10): past 2^12 terms the exact
+    fallback is reached only with negligible probability.  A scaled value
+    of 2^62 or more raises :class:`DepthError`: below it the gap exceeds
+    2^-61 and half its ulp 2^-114, far above the 10^-45.
     """
     start = check_int(block, "block", 1) << check_int(level, "level", 1, MAX_HARMONIC_LEVEL)
     if start.bit_length() > 62:
         raise DepthError(f"scaled block value 2^{level} * {block} is 2^62 or more")
     a, b = start - 1, start - 1 + (1 << level)
-    if start >= _EULER_MACLAURIN_START:
-        with localcontext(Context(prec=50)):  # not the caller's context, whose traps or rounding may differ
-            bound = 1 / (132 * Decimal(a) ** 10) + Decimal("1e-45")
-            rounded = _rounding(_euler_maclaurin_gap(Decimal(a), Decimal(b)), bound)
-        if rounded is not None:
-            return rounded
+    rounded = _rounding(*_euler_maclaurin_gap(a, b))
+    if rounded is not None:
+        return rounded
     p, q = _harmonic_gap(a, b)
     return p / q

@@ -12,9 +12,9 @@ Marginalizing the solution onto the first bit gives the two-digit-block
 probabilities, which approach log2(3/2) and log2(4/3) as the depth grows.
 The fixed point also has a closed form, pi_V proportional to 1/(V+1), so
 p10 is a ratio of harmonic gaps, which :func:`_closed_form` rounds
-correctly in pure Python from the harmonic core of :mod:`benford2.dyadic`:
-Euler-Maclaurin values, or exact integers at small depths and near a
-rounding midpoint.
+correctly in pure Python with one call into the harmonic core of
+:mod:`benford2.dyadic`: one Euler-Maclaurin interval per gap, and exact
+integers wherever an interval holds a rounding midpoint.
 :func:`convergence_table` tabulates p10 depth by depth from that closed
 form by default, without numpy; power iteration on either backend of
 :func:`solve` is the oracle that checks it.
@@ -25,17 +25,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
 from typing import TYPE_CHECKING
 
 from benford2.dyadic import (
     MAX_DENSE_DEPTH,
     MAX_HARMONIC_LEVEL,
     MAX_VECTOR_DEPTH,
-    _euler_maclaurin_gap,
-    _harmonic_gap,
-    _rounding,
     check_int,
+    harmonic_shares,
 )
 from benford2.transition import apply_dense, apply_fast, build_dense
 
@@ -143,55 +140,19 @@ def solve(
     )
 
 
-# the least depth whose bound on p10, 1/(44n^10) (see _euler_maclaurin_form),
-# is below half an ulp of p11 in [1/4, 1/2), 2^-55: below it the bound
-# always spans a rounding midpoint
-_EULER_MACLAURIN_DEPTH = 5
-
-
-def _euler_maclaurin_form(n: int) -> tuple[float, float] | None:
-    """The correctly rounded p10 and p11 at n = 2^depth from 50-digit
-    Euler-Maclaurin values, or ``None`` where they cannot decide the rounding.
-
-    R(b) - R(a) in (-1/(132a^10), 1/(132a^10)) for a < b, so each gap over
-    a range starting at n is off by less than E = 1/(132n^10), and the
-    quotient p10 = A/W by less than (|e_A| + p10|e_W|)/W < 2E/W < 3E = 1/(44n^10),
-    since W = H_2n - H_n > 2/3 for n >= 32.  The 50-digit arithmetic adds
-    well under 10^-45.  When the interval of that half-width around p10,
-    or around p11 = 1 - p10, holds a rounding midpoint, its ends round to
-    different floats; otherwise both ends, and so the exact value, round
-    to the same one.
-    """
-    with localcontext(Context(prec=50)):  # not the caller's context, whose traps or rounding may differ
-        a = Decimal(n)
-        p10 = _euler_maclaurin_gap(a, a * 3 / 2) / _euler_maclaurin_gap(a, 2 * a)
-        bound = 1 / (44 * a**10) + Decimal("1e-45")
-        rounded = _rounding(p10, bound), _rounding(1 - p10, bound)
-    return None if None in rounded else rounded
-
-
 def _closed_form(depth: int) -> tuple[float, float]:
     """p10 and p11 at ``depth``, correctly rounded, with no iteration and no
     loop over the 2^depth terms.
 
     With n = 2^depth the fixed point is proportional to 1/(V+1) over the
     block values V in [n, 2n), so p10 = (H_{3n/2} - H_n) / (H_{2n} - H_n)
-    and p11 = (H_{2n} - H_{3n/2}) / (H_{2n} - H_n).  From
-    ``_EULER_MACLAURIN_DEPTH`` on, both come from 50-digit Euler-Maclaurin
-    values (:func:`_euler_maclaurin_form`).  Below it, or where those
-    cannot decide the rounding, they come from the exact integer gaps of
-    ``dyadic``, each quotient rounded once by int true division, as
-    ``float(Fraction)`` rounds, not from rounded block sums.
+    and p11 = (H_{2n} - H_{3n/2}) / (H_{2n} - H_n): the two shares of
+    :func:`benford2.dyadic.harmonic_shares`, which rounds them from one
+    Euler-Maclaurin interval per gap and falls back to the exact integer
+    gaps where an interval holds a rounding midpoint (depths 1 to 5).
     """
-    check_int(depth, "depth", 1, MAX_HARMONIC_LEVEL)
-    n = 1 << depth
-    if depth >= _EULER_MACLAURIN_DEPTH:
-        rounded = _euler_maclaurin_form(n)
-        if rounded is not None:
-            return rounded
-    (p, q), (r, s) = _harmonic_gap(n, 3 * n // 2), _harmonic_gap(3 * n // 2, 2 * n)
-    head, tail = p * s, r * q
-    return head / (head + tail), tail / (head + tail)
+    n = 1 << check_int(depth, "depth", 1, MAX_HARMONIC_LEVEL)
+    return harmonic_shares(n, 3 * n // 2, 2 * n)
 
 
 def aggregate(probabilities: np.ndarray, prefix_bits: int) -> np.ndarray:

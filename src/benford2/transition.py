@@ -146,9 +146,10 @@ def brute_force_element(target: int, scale: int, padding: int) -> Fraction:
     starts with the target block.  The numbers with a fixed bit length j
     that start with a given (k+1)-bit block form one aligned interval, so
     the count walks bit lengths and adds each whole interval; no
-    per-integer loop is ever run.  At padding m the result is
-    within 2^(1-m) of the limiting matrix element (short numbers, those
-    with fewer than k+1 bits, are missing from the count).
+    per-integer loop is ever run.  At padding p the walk counts
+    2^(p+1) - 1 integers when target < scale and 2^p - 1 otherwise, so the
+    result is exactly the limiting entry (:func:`matrix_element_exact`)
+    less 1/(scale * 2^p).
     """
     # the count walks numbers of depth + padding bits
     check_int(padding, "padding", 1, MAX_COUNT_BITS - _block_pair(target, scale))

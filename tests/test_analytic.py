@@ -210,8 +210,8 @@ class TestHarmonicBlockSum:
     def test_bits_equal_per_term_reference(self, value):
         # The reference is the exact sum of the terms 1/m, correctly rounded: exact integers up to
         # 2^14 terms, a decided 80-digit Euler-Maclaurin value beyond (the name and its ids are older
-        # than that).  The first levels of V <= 3 start below dyadic._EULER_MACLAURIN_START;
-        # (1 << 45) + 7 scales past 2^53, where float(m) rounds.
+        # than that).  The first levels of V <= 3 start so low that the Euler-Maclaurin interval spans a
+        # rounding midpoint and the exact gap decides; (1 << 45) + 7 scales past 2^53, where float(m) rounds.
         top = 16 if value > 1000 else 18
         for level in range(1, top + 1):
             assert harmonic_block_sum(value, level) == rounded_block_sum(value, level), level
@@ -270,20 +270,6 @@ class TestHarmonicBlockSum:
         analytic._check_harmonic(reports, levels)
         assert all(report.passed for report in reports)
         assert max(sizes, default=0) <= 1 << 12, max(sizes)
-
-    def test_euler_maclaurin_start_is_the_least_its_bound_allows(self):
-        # the bound against half an ulp of the gap, for every block whose start is below 2^10; past it
-        # the bound falls as a^-10 and the ulp only as 1/a
-        def decides(value, level):
-            a = (value << level) - 1
-            gap = float(Fraction(*harmonic_gap(a, a + (1 << level))))
-            return Fraction(1, 132 * a**10) + Fraction(1, 10**45) < Fraction(math.ulp(gap)) / 2
-
-        start = dyadic._EULER_MACLAURIN_START
-        blocks = [(value, level) for level in range(1, 10) for value in range(1, 1 << (10 - level))]
-        assert all(decides(value, level) for value, level in blocks if value << level >= start)
-        # the start just below, 34, has a gap the bound cannot decide
-        assert not decides(17, 1) and 17 << 1 == start - 2
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -72,8 +72,9 @@ PINNED_STDOUT = {
     "empirical --family pow3 --n 500 --bits 2": "1dfdacd05db0afbaa8c8b2470774f6fe666ce75a0e8ba155caa42b7e7dbbec39",
     "empirical --family rearranged --n 100": "e66802f0c078c5182153221b35c278505bb234aebebb863b64a9ab0953414063",
     " ".join(VERIFY_QUICK): "040ce278f60eff2481776ea18f8be0ea92021db6d2333a6707beee79c186a613",
-    # level 3's first blocks start below dyadic._EULER_MACLAURIN_START and take exact gaps; the
-    # rest, levels 13 and 17 past the 2^12 terms beyond which exact gaps all but never run, do not
+    # level 3's first blocks start so low that their Euler-Maclaurin intervals span a rounding
+    # midpoint and take exact gaps; levels 13 and 17, past the 2^12 terms beyond which exact gaps
+    # all but never run, do not
     "verify --suite harmonic --harmonic-levels 3,13,17": "2fdff1cf66c144c7b28ee78398a086c05e2d26d97ec7d6341b140eaf3471fd6e",
     # the default budgets and seed
     "verify --suite all": "ac0e93b2c5f913933ae4254ebc796f3f23efec07cb3b9f867c505914ee5e3aac",

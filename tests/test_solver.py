@@ -18,7 +18,7 @@ from conftest import (
     rounded_p10,
 )
 
-from benford2 import cli, dyadic, solver
+from benford2 import cli, dyadic
 from benford2.dyadic import DepthError, harmonic_block_sum
 from benford2.solver import (
     ConvergenceError,
@@ -408,29 +408,51 @@ class TestClosedForm:
             assert float(exact - slack) == float(exact + slack), depth  # the rounding is decided
             assert got == float(exact), depth
 
-    @pytest.mark.parametrize("depth", range(5, 9))
-    def test_euler_maclaurin_gap_is_within_its_remainder_bound(self, depth):
-        # |B_10|/(10 n^10) = 1/(132 n^10), the bound the rounding check rests on
+    # every start a <= 40, the least the interval runs at, and n = 2^depth for depths 6 to 12; the
+    # ends 3a/2 and 2a make (n, 3n/2) and (n, 2n) of every depth 1 to 12 a case
+    @pytest.mark.parametrize("a", [*range(1, 41), *(1 << depth for depth in range(6, 13))])
+    def test_euler_maclaurin_gap_is_within_its_remainder_bound(self, a):
+        # |B_10|/(10 a^10) = 1/(132 a^10), plus 10^-45 for the arithmetic: the radius the rounding rests on
+        for b in {a + 1, a + 2, 2 * a} | ({3 * a // 2} if a % 2 == 0 else set()):
+            midpoint, radius = dyadic._euler_maclaurin_gap(a, b)
+            with localcontext(Context(prec=50)):
+                assert radius == 1 / (132 * Decimal(a) ** 10) + Decimal("1e-45")
+            error = Fraction(midpoint) - Fraction(*harmonic_gap(a, b))
+            assert abs(error) <= Fraction(radius), (a, b, error)
+
+    def test_exact_integers_decide_only_below_depth_six(self, monkeypatch):
+        # up to depth 5 the interval around p10 spans a rounding midpoint, so the exact gaps decide;
+        # from depth 6 on the intervals decide every depth of the budget
+        starts = []
+
+        def recorded_gap(a, b):
+            starts.append(a)
+            return harmonic_gap(a, b)
+
+        monkeypatch.setattr(dyadic, "_harmonic_gap", recorded_gap)
+        for depth in range(1, 27):
+            _closed_form(depth)
+        # the two gaps of a depth start at n and 3n/2, both of n's bit length
+        assert sorted(start.bit_length() - 1 for start in starts) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+    @pytest.mark.parametrize("depth", range(1, 15))
+    def test_share_bound_holds_the_exact_p10(self, depth, monkeypatch):
+        # the radius harmonic_shares rounds p10 with, (e + p10 f)/(W - f) + 10^-45, holds the exact value
+        rounding, intervals = dyadic._rounding, []
+
+        def recorded_rounding(value, bound):
+            intervals.append((value, bound))
+            return rounding(value, bound)
+
+        monkeypatch.setattr(dyadic, "_rounding", recorded_rounding)
+        _closed_form(depth)
+        (p10, bound), (p11, same) = intervals
         n = 1 << depth
-        with localcontext(Context(prec=50)):
-            for b in (3 * n // 2, 2 * n):
-                error = Fraction(dyadic._euler_maclaurin_gap(Decimal(n), Decimal(b))) - Fraction(*harmonic_gap(n, b))
-                assert abs(error) < Fraction(1, 132 * n**10), (depth, b, error)
-
-    def test_euler_maclaurin_depth_is_the_least_its_bound_allows(self):
-        # p10's bound 1/(44 n^10) against half an ulp of p11 in [1/4, 1/2), 2^-55
-        def bound(depth):
-            return Fraction(1, 44 << 10 * depth)
-
-        depth = solver._EULER_MACLAURIN_DEPTH
-        assert bound(depth) < Fraction(1, 1 << 55) <= bound(depth - 1)
-
-    def test_exact_integers_decide_only_below_depth_six(self):
-        # at depth 5 the bound spans p10's rounding midpoint, so the exact gaps decide it;
-        # from depth 6 on the Euler-Maclaurin values decide every depth of the budget
-        assert solver._euler_maclaurin_form(1 << 5) is None
-        for depth in range(6, 27):
-            assert solver._euler_maclaurin_form(1 << depth) == _closed_form(depth), depth
+        (p, q), (r, s) = harmonic_gap(n, 3 * n // 2), harmonic_gap(3 * n // 2, 2 * n)
+        exact = Fraction(p * s, p * s + r * q)
+        assert bound == same > 0
+        assert abs(Fraction(p10) - exact) <= Fraction(bound), depth
+        assert abs(Fraction(p11) - (1 - exact)) <= Fraction(bound), depth
 
     def test_ignores_the_callers_decimal_context(self):
         expected = _closed_form(22)

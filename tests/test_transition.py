@@ -6,7 +6,7 @@ import pytest
 from conftest import DEPTH2_PRINTED
 
 from benford2.analytic import harmonic_block_sum
-from benford2.dyadic import DepthError, excess_population, pack_bits, unpack_bits
+from benford2.dyadic import MAX_COUNT_BITS, DepthError, excess_population, pack_bits, unpack_bits
 from benford2.solver import benford_reference, convergence_table, solve
 from benford2.transition import (
     apply_dense,
@@ -215,7 +215,7 @@ class TestPeakMemory:
 
     def test_closed_table_holds_no_vector(self):
         # the closed form builds no array: its harmonic gaps are 50-digit Euler-Maclaurin
-        # values, or exact integers at small depths; one 2^22-entry vector would be 32 MiB
+        # intervals, or exact integers at depths 1 to 5; one 2^22-entry vector would be 32 MiB
         assert traced_peak(lambda: convergence_table(22)) < self.SLACK
 
 
@@ -262,6 +262,17 @@ class TestBruteForceElement:
                             - matrix_element_exact(target, scale)
                         )
                         assert gap <= bound
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_is_the_limiting_entry_less_one_over_scale_times_2_to_padding(self, depth):
+        # 2^(p+1) - 1 integers counted when target < scale, 2^p - 1 otherwise; 40 - k is the most
+        # padding the count budget allows
+        blocks = range(1 << depth, 2 << depth)
+        for padding in (1, 2, 8, 16, MAX_COUNT_BITS - depth):
+            for scale in blocks:
+                for target in blocks:
+                    expected = matrix_element_exact(target, scale) - Fraction(1, scale << padding)
+                    assert brute_force_element(target, scale, padding) == expected, (target, scale, padding)
 
     def test_guards(self):
         with pytest.raises(ValueError):
