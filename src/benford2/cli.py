@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="stationary block distribution at one depth")
     p.add_argument("--k", type=int, required=True, help="bits after the leading 1")
     p.add_argument("--tolerance", type=float, default=1e-14)
-    p.add_argument("--max-iterations", type=int, default=100_000)
     p.add_argument("--backend", choices=BACKENDS, default="fast")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_out(p)
@@ -167,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
-    report = solve(args.k, tolerance=args.tolerance, max_iterations=args.max_iterations, backend=args.backend)
+    report = solve(args.k, tolerance=args.tolerance, backend=args.backend)
     reference = benford_reference(0b10, 2)
     # the JSON header and the CSV footer; str() of a Python float is its repr
     summary = {

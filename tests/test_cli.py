@@ -235,7 +235,6 @@ def test_public_names_resolve_once():
 # field); verify's budgets are TestVerifyCommand.test_flags_are_run_suite_budgets'
 CLI_DEFAULTS = [
     (["solve", "--k", "1"], "tolerance", solver.solve, "tolerance"),
-    (["solve", "--k", "1"], "max_iterations", solver.solve, "max_iterations"),
     (["solve", "--k", "1"], "backend", solver.solve, "backend"),
     (["table1", "--kmax", "1"], "tolerance", solver.convergence_table, "tolerance"),
     (["table1", "--kmax", "1"], "backend", solver.convergence_table, "backend"),
@@ -473,11 +472,15 @@ sys.exit(code)
         assert excinfo.value.code == 2
 
     def test_convergence_failure_exits_1(self, capsys):
-        code, _, err = run_cli(
-            capsys, "solve", "--k", "8", "--tolerance", "1e-30", "--max-iterations", "2"
-        )
+        # depth 5 stalls above 1e-30 in floats; depth 8 reaches a step of exactly 0
+        code, _, err = run_cli(capsys, "solve", "--k", "5", "--tolerance", "1e-30")
         assert code == 1
         assert "no convergence" in err
+
+    def test_iteration_cap_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve", "--k", "4", "--max-iterations", "2"])
+        assert excinfo.value.code == 2
 
     def test_nan_tolerance_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -689,6 +692,12 @@ print(code, "numpy" in sys.modules, out.getvalue().splitlines()[-1].split(",")[1
             cli.main(argv)
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_oracle_convergence_failure_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "table1", "--kmax", "3", "--backend", "fast", "--tolerance", "1e-30")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: no convergence after 41 iterations"), err
 
     def test_tolerance_checked_before_any_fork(self, capsys, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

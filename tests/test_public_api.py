@@ -110,7 +110,6 @@ INT_ARGUMENTS = {
     ("SequenceSpec", "block_bits"): lambda x: benford2.SequenceSpec("pow3", 4, x),
     ("SequenceSpec", "base"): lambda x: benford2.SequenceSpec("pow3", 4, 1, x),
     ("solve", "depth"): lambda x: benford2.solve(x),
-    ("solve", "max_iterations"): lambda x: benford2.solve(2, max_iterations=x),
     ("term_value_by_endpoints", "r"): lambda x: benford2.term_value_by_endpoints((1, 0), x),
     ("term_value_by_product", "r"): lambda x: benford2.term_value_by_product((1, 0), x),
     ("truncate", "places"): lambda x: benford2.truncate((1, 0), x),

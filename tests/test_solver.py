@@ -23,6 +23,7 @@ from benford2.dyadic import DepthError, harmonic_block_sum
 from benford2.solver import (
     ConvergenceError,
     _closed_form,
+    _iteration_cap,
     aggregate,
     benford_reference,
     convergence_table,
@@ -140,9 +141,10 @@ class TestSolve:
             assert np.all(np.diff(solve(depth).probabilities) < 0)
 
     def test_iteration_cap(self):
+        # floats stall above 1e-30 at depth 5, so the run stops at the cap for 1e-30
         with pytest.raises(ConvergenceError) as excinfo:
-            solve(5, tolerance=1e-30, max_iterations=3)
-        assert excinfo.value.iterations == 3
+            solve(5, tolerance=1e-30)
+        assert excinfo.value.iterations == 41
         assert excinfo.value.residual > 1e-30
 
     def test_argument_guards(self):
@@ -180,6 +182,52 @@ class TestSolve:
     def test_non_finite_tolerance_rejected(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             solve(3, tolerance=tolerance)
+
+
+def least_iterations(tolerance):
+    """Independent oracle for the cap: the least t >= 1 with
+    2 * (3 - 2*sqrt(2))**(t - 1) <= tolerance, in 60-digit decimals."""
+    with localcontext(Context(prec=60)):
+        contraction = 3 - 2 * Decimal(2).sqrt()
+        bound, t = Decimal(2), 1
+        while bound > Decimal(float(tolerance)):  # Decimal(float) is exact
+            bound, t = bound * contraction, t + 1
+    return t
+
+
+class TestIterationCap:
+    """solve's cap, derived from the kernel's Dobrushin contraction constant."""
+
+    # the exact maximum of tau over column pairs at depths 1 to 7: Pell approximants of 3 - 2*sqrt(2)
+    TAU = [Fraction(1, 6), Fraction(6, 35), Fraction(6, 35), Fraction(35, 204), Fraction(204, 1189),
+           Fraction(1189, 6930), Fraction(6930, 40391)]
+
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_contraction_constant_of_the_exact_columns(self, depth):
+        n = 1 << depth
+        scales = range(n, 2 * n)
+        # column A of matrix_element_exact times A: the integers 1 and 2, so that
+        # half the l1 distance of columns A and B is an integer over 2AB
+        columns = np.array([[matrix_element_exact(target, a) * a for target in scales] for a in scales], dtype=np.int64)
+        values = np.arange(n, 2 * n)
+        # distance[A, B] = sum over targets of |B * column_A - A * column_B|
+        scaled = columns[:, None, :] * values[None, :, None]
+        distance = np.abs(scaled - scaled.transpose(1, 0, 2)).sum(axis=2)
+        a, b = np.triu_indices(n, k=1)
+        formula = 2 * (values[b] - values[a]) * (2 * values[a] - values[b])  # (B - A)(2A - B)/(AB) over 2AB
+        assert np.array_equal(distance[a, b], formula)
+        tau = max(Fraction(int(d), 2 * int(values[i]) * int(values[j])) for d, i, j in zip(distance[a, b], a, b))
+        assert tau == self.TAU[depth - 1]
+        assert 3 - tau > 0 and (3 - tau) ** 2 > 8  # tau < 3 - 2*sqrt(2)
+
+    @pytest.mark.parametrize(
+        "tolerance, cap",
+        [(2, 1), (1e300, 1), (1.0, 2), (1e-6, 10), (1e-14, 20), (1e-30, 41), (1e-300, 394), (5e-324, 424),
+         (np.float64(1e-14), 20), (np.float32(1e-6), 10)],
+        ids=repr,
+    )
+    def test_cap_is_the_least_sufficient_count(self, tolerance, cap):
+        assert _iteration_cap(tolerance) == least_iterations(tolerance) == cap
 
 
 class TestClosedFormFixedPoint:
