@@ -15,6 +15,13 @@ once in each child.  So a caller whose children need numpy, which the
 library imports only inside the functions that use it, runs ``import
 numpy`` before calling :func:`fan_out`; this module loads nothing, so a
 caller that never uses numpy forks without it.
+
+A pipe holds 64 KiB by default on Linux, less than one piece of a table, so
+a writer blocks on it until the reader has taken most of the piece, and the
+two run in lockstep.  :func:`_grow_pipe` lets a pipe hold ``_PIPE_BYTES``
+instead, several pieces: :func:`fan_out` grows each child's frame pipe, and
+the table writer its output when that is a pipe and the table spans more
+than one piece.
 """
 
 from __future__ import annotations
@@ -30,6 +37,24 @@ T = TypeVar("T")
 # most), and empirical generates ranges of up to 2^16 terms
 CHUNK_BITS = 16
 _SIZE_BYTES = 8  # each frame a child sends starts with its size
+# Linux's default /proc/sys/fs/pipe-max-size: the most an unprivileged process may give a pipe
+_PIPE_BYTES = 1 << 20
+
+
+def _grow_pipe(fd: object) -> None:
+    """Let the pipe ``fd`` (a descriptor or an object with ``fileno()``) hold ``_PIPE_BYTES``.
+
+    It does nothing where ``fd`` is no pipe, already holds as much, or the
+    OS has no ``F_SETPIPE_SZ`` (macOS) or refuses it.  ``fcntl`` is imported
+    here, so a command that never grows a pipe does not load it.
+    """
+    try:
+        import fcntl
+
+        if fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < _PIPE_BYTES:  # F_GETPIPE_SZ fails on anything but a pipe
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):  # no fcntl (Windows), no constant, or refused
+        pass
 
 
 def _frame(item: int, result: object) -> bytes:
@@ -84,6 +109,7 @@ def fan_out(work: Callable[[int], T], count: int) -> Iterator[T]:
     try:
         for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
+            _grow_pipe(write_fd)  # so the child can send several frames ahead of this process
             try:
                 pid = os.fork()
             except OSError:  # no process to spare: its items are computed here

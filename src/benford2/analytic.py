@@ -169,9 +169,12 @@ def _check_matrix(reports: list[VerificationReport], oracle_depth: int, oracle_p
     for k in range(1, MAX_DUMP_DEPTH + 1):
         n = 1 << k
         if k <= 6:
-            # literal rational column sums: every column adds to exactly 1
+            # literal rational column sums: every column adds to exactly 1, decided in integers over
+            # the least common denominator L of its entries as sum(numerator * (L // denominator)) == L
             for scale in range(n, 2 * n):
-                if sum(matrix_element_exact(target, scale) for target in range(n, 2 * n)) != 1:
+                column = [matrix_element_exact(target, scale) for target in range(n, 2 * n)]
+                common = math.lcm(*(entry.denominator for entry in column))
+                if sum(entry.numerator * (common // entry.denominator) for entry in column) != common:
                     mismatches += 1
         # each dense entry is within half an ulp of its rational and the
         # rationals add to 1, so the 2^k - 1 additions of a column leave it

@@ -65,7 +65,9 @@ def _write_table(
     (1 and the bits of a base-2^k digit of the row's number, most significant first), then the value.
     CSV is a line of ``names``, the rows and ``footer``; JSON is ``json.dumps({**summary, key: rows},
     indent=2)``.  The rows are laid out 2^PIECE_BITS at a time, one write each, through ``fan_out`` past
-    2^CHUNK_BITS rows.
+    2^CHUNK_BITS rows.  A table of more than one piece first lets ``out``, where it is a pipe, hold
+    several pieces (``_fanout._grow_pipe``): at Linux's default 64 KiB a pipe holds a third of a CSV
+    piece of ``solve``, so each write would wait on the reader.
     """
     import numpy as np
 
@@ -102,6 +104,8 @@ def _write_table(
     # a table of at most 2^CHUNK_BITS rows is formatted here, a longer one over the CPUs
     count = 1 << high
     texts = _fanout.fan_out(rows, count) if bits > _fanout.CHUNK_BITS else (rows(piece) for piece in range(count))
+    if high:
+        _fanout._grow_pipe(out)
     out.write(head)
     with closing(texts) as pieces:
         for text in pieces:

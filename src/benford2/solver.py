@@ -55,7 +55,7 @@ class ConvergenceError(RuntimeError):
         self.tolerance = tolerance
         super().__init__(
             f"no convergence after {iterations} iterations: "
-            f"residual {residual:.3e} > tolerance {tolerance:.3e}"
+            f"residual {residual:.3e} > tolerance {float(tolerance):.3e}"  # a Fraction takes no e before 3.12
         )
 
 
@@ -96,12 +96,10 @@ def _depth_budget(backend: str, tolerance: float, backends: tuple[str, ...] = BA
     return MAX_DENSE_DEPTH if backend == "dense" else MAX_VECTOR_DEPTH
 
 
-def _iteration_cap(tolerance: float) -> int:
-    """The least t >= 1 with 2 * (3 - 2*sqrt(2))**(t - 1) <= ``tolerance``,
-    decided exactly in rationals and integers (see :func:`solve`)."""
-    if not isinstance(tolerance, numbers.Rational):
-        tolerance = Fraction(*tolerance.as_integer_ratio())  # exact for every float, numpy's included
-    bound = 2 / Fraction(tolerance)
+def _iteration_cap(tolerance: Fraction) -> int:
+    """The least t >= 1 with 2 * (3 - 2*sqrt(2))**(t - 1) <= ``tolerance``, an exact
+    rational, decided in rationals and integers (see :func:`solve`)."""
+    bound = 2 / tolerance
     # (3 + 2*sqrt(2))**(cap - 1) = p + q*sqrt(2) >= bound, with the square
     # root squared away: p >= bound, or else 2*q**2 >= (bound - p)**2
     cap, p, q = 1, 1, 0
@@ -139,7 +137,13 @@ def solve(depth: int, tolerance: float = 1e-14, backend: str = "fast") -> SolveR
     matrix = build_dense(depth) if backend == "dense" else None
     n = 1 << depth
     current = np.full(n, 1.0 / n)
-    cap = _iteration_cap(tolerance)
+    # the tolerance's exact value, which a float residual compares with exactly; numpy 2 would
+    # compare it with a float32 tolerance in float32, so a residual above it could stop the run
+    if isinstance(tolerance, numbers.Rational):  # int, Fraction and numpy's ints
+        exact = Fraction(int(tolerance.numerator), int(tolerance.denominator))
+    else:
+        exact = Fraction(*tolerance.as_integer_ratio())  # every float, numpy's included
+    cap = _iteration_cap(exact)
     for iteration in range(1, cap + 1):
         nxt = apply_dense(matrix, current) if matrix is not None else apply_fast(current, depth)
         nxt /= nxt.sum()
@@ -148,7 +152,7 @@ def solve(depth: int, tolerance: float = 1e-14, backend: str = "fast") -> SolveR
         np.subtract(nxt, current, out=current)
         residual = float(np.abs(current, out=current).max())
         current = nxt
-        if residual <= tolerance:
+        if residual <= exact:
             break
     else:
         raise ConvergenceError(cap, residual, tolerance)

@@ -17,6 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import fcntl
+except ImportError:  # Windows has no fcntl
+    fcntl = None
 from conftest import DEPTH2_PRINTED, MUTATIONS, assert_no_children, rounded_p10, run_fresh
 
 import benford2
@@ -368,6 +373,104 @@ def test_child_result_arrives_before_its_next_item(monkeypatch, forks):
         assert time.monotonic() - start < 5
     assert len(forks) == 1
     assert_no_children()
+
+
+# pipe sizes are Linux's: elsewhere fcntl has no F_GETPIPE_SZ, and the program leaves its pipes as they are
+linux_pipes = pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="fcntl has no F_GETPIPE_SZ")
+
+
+@linux_pipes
+def test_child_runs_ahead_of_a_large_frame(monkeypatch, forks, tmp_path):
+    # the child sends item 1, a frame of 300 000 bytes, and starts item 3 while this process is
+    # still on item 0: its pipe holds the frame whole, where a 64 KiB pipe would hold the child
+    # in its write until this process reads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, started, large = os.getpid(), tmp_path / "item-3-started", "x" * 300_000
+
+    def work(item):
+        if os.getpid() != parent:
+            if item == 3:
+                started.touch()
+            return large
+        if item == 0:
+            deadline = time.monotonic() + 5
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return started.exists()
+        return item
+
+    assert list(_fanout.fan_out(work, 4)) == [True, large, 2, large]
+    assert len(forks) == 1
+    assert_no_children()
+
+
+# runs the CLI on sys.argv[1:], with stdout as it was given, after a patch; reports on stderr
+# its exit code and whether fcntl was loaded
+PIPED_SCRIPT = """
+import os, sys
+%s
+from benford2 import cli
+code = cli.main(sys.argv[1:])
+print(code, "fcntl" in sys.modules, file=sys.stderr)
+"""
+
+
+def run_piped(command, patch=""):
+    """Run ``command`` in a fresh interpreter with stdout a new pipe: the digest of its stdout, its
+    report, the pipe's size before it ran and the size after the end of its output."""
+    read_fd, write_fd = os.pipe()
+    before = fcntl.fcntl(read_fd, fcntl.F_GETPIPE_SZ)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-c", PIPED_SCRIPT % patch, *command.split()]
+    with open(read_fd, "rb") as reader:
+        with subprocess.Popen(argv, stdout=write_fd, stderr=subprocess.PIPE, env=env) as process:
+            os.close(write_fd)
+            digest = hashlib.sha256(reader.read()).hexdigest()
+            after = fcntl.fcntl(reader, fcntl.F_GETPIPE_SZ)
+            report = process.stderr.read().decode()
+            assert process.wait(timeout=120) == 0
+    return digest, report, before, after
+
+
+@linux_pipes
+class TestPipeSizes:
+    """A table of more than one piece lets a piped stdout hold _fanout._PIPE_BYTES, and nothing
+    else changes: not the bytes, nor the exit code, nor a pipe the OS will not grow."""
+
+    def test_table_of_two_pieces_grows_stdout(self):
+        # 2^13 rows, two pieces of 2^PIECE_BITS
+        _, report, before, after = run_piped("solve --k 13")
+        assert report == "0 True\n"
+        assert before < after == 1 << 20 == _fanout._PIPE_BYTES
+
+    def test_table_of_one_piece_leaves_stdout(self):
+        _, report, before, after = run_piped("solve --k 12")
+        assert report == "0 False\n"
+        assert after == before
+
+    def test_grown_pipe_keeps_bytes(self):
+        # on two CPUs the child formats half the pieces through its own grown pipe
+        digest, report, _, after = run_piped("solve --k 17", "os.sched_getaffinity = lambda pid: {0, 1}")
+        assert (digest, report, after) == (PINNED_STDOUT["solve --k 17"], "0 True\n", 1 << 20)
+
+    @pytest.mark.parametrize("command", ["solve --k 1", "table1 --kmax 22"])
+    def test_small_command_loads_no_fcntl(self, command):
+        _, report, before, after = run_piped(command)
+        assert (report, after) == ("0 False\n", before)
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            "import fcntl\ndef refuse(*args):\n    raise PermissionError(1, 'refused')\nfcntl.fcntl = refuse",
+            "import fcntl\ndel fcntl.F_SETPIPE_SZ",
+            # below the pipe's own 64 KiB: the pipe is not shrunk
+            "from benford2 import _fanout\n_fanout._PIPE_BYTES = 1 << 14",
+        ],
+        ids=["refused", "no-constant", "smaller"],
+    )
+    def test_pipe_left_as_it_is(self, patch):
+        digest, report, before, after = run_piped("solve --k 17", patch + "\nos.sched_getaffinity = lambda pid: {0, 1}")
+        assert (digest, report, after) == (PINNED_STDOUT["solve --k 17"], "0 True\n", before)
 
 
 class TestSolveCommand:

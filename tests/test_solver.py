@@ -147,6 +147,14 @@ class TestSolve:
         assert excinfo.value.iterations == 41
         assert excinfo.value.residual > 1e-30
 
+    def test_fraction_tolerance_at_the_cap(self):
+        # the error's message formats a Fraction, which takes no e format before Python 3.12
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve(5, tolerance=Fraction(1, 10**30))
+        assert excinfo.value.iterations == 41
+        assert excinfo.value.tolerance == Fraction(1, 10**30)
+        assert str(excinfo.value).endswith("> tolerance 1.000e-30")
+
     def test_argument_guards(self):
         with pytest.raises(DepthError):
             solve(0)
@@ -172,11 +180,28 @@ class TestSolve:
             with pytest.raises(TypeError, match=re.escape(f"tolerance {tolerance!r} is not a real number")):
                 call(3, tolerance=tolerance)
 
-    @pytest.mark.parametrize("tolerance", [np.float64(1e-14), np.float32(1e-6)])
+    @pytest.mark.parametrize("tolerance", [np.float64(1e-14), np.float32(1e-6), np.float16(1e-3), np.longdouble(1e-14)])
     def test_numpy_float_tolerance_accepted(self, tolerance):
         report = solve(3, tolerance=tolerance)
-        assert report.residual <= tolerance
+        # float() is exact for each; numpy would compare a float with a float32 in float32
+        assert report.residual <= float(tolerance)
         assert report.iterations == solve(3, tolerance=float(tolerance)).iterations
+
+    @pytest.mark.parametrize("tolerance", [1, np.int64(1), Fraction(1, 10**6)], ids=repr)
+    def test_rational_tolerance_accepted(self, tolerance):
+        report = solve(3, tolerance=tolerance)
+        assert Fraction(report.residual) <= Fraction(int(tolerance.numerator), int(tolerance.denominator))
+        assert report.iterations == solve(3, tolerance=float(tolerance)).iterations
+
+    def test_float32_tolerance_is_compared_exactly(self):
+        # depth 1 stops at 1e-6 after 8 steps with a residual r that float32 rounds down to T: r <= T
+        # holds in float32, but r > T, so the run at T takes one more step
+        reached = solve(1, tolerance=1e-6)
+        tolerance = np.float32(reached.residual)
+        assert float(tolerance) < reached.residual
+        report = solve(1, tolerance=tolerance)
+        assert report.iterations == reached.iterations + 1
+        assert report.residual <= float(tolerance)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
@@ -227,7 +252,8 @@ class TestIterationCap:
         ids=repr,
     )
     def test_cap_is_the_least_sufficient_count(self, tolerance, cap):
-        assert _iteration_cap(tolerance) == least_iterations(tolerance) == cap
+        exact = Fraction(*tolerance.as_integer_ratio())  # the value solve passes
+        assert _iteration_cap(exact) == least_iterations(tolerance) == cap
 
 
 class TestClosedFormFixedPoint:
